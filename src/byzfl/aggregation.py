@@ -135,57 +135,62 @@ def _majority_point(pts: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _subgradient_excess(pts: np.ndarray, x: np.ndarray, floor: float) -> float:
+def _subgradient_excess(diffs: np.ndarray, dists: np.ndarray, floor: float) -> float:
     """Norm of the smoothed subgradient at x minus the coincident-point count.
 
-    Points exactly coincident with x contribute the unit ball to the
-    subdifferential, so their count offsets the norm of the remaining
-    smoothed terms; a negative value certifies x as a strictly interior
-    minimizer of the distance sum.
+    Takes the rows x - z_i and their norms. Points coincident with x
+    contribute the unit ball to the subdifferential, so their count offsets
+    the norm of the remaining smoothed terms; a negative value certifies x
+    as a strictly interior minimizer of the distance sum.
     """
-    diffs = x - pts
-    dists = np.linalg.norm(diffs, axis=1)
     on_point = dists == 0.0
     safe = np.maximum(dists, max(floor, np.finfo(np.float64).tiny))
-    g = (diffs[~on_point] / safe[~on_point, None]).sum(axis=0) if (~on_point).any() else np.zeros_like(x)
+    g = (diffs[~on_point] / safe[~on_point, None]).sum(axis=0)
     return float(np.linalg.norm(g) - int(on_point.sum()))
-
-
-def _residual_at(pts: np.ndarray, x: np.ndarray, floor: float) -> float:
-    """Minimal-norm smoothed subgradient of the objective at x."""
-    return max(0.0, _subgradient_excess(pts, x, floor))
 
 
 def geometric_median(points, cfg: WeiszfeldConfig | None = None) -> AggregateResult:
     """Geometric median via smoothed Weiszfeld iteration.
 
+    A point shared bitwise by strictly more than half the rows is returned
+    exactly without iterating: the coincident points certify optimality.
+    Otherwise the iteration runs on z_i - c, c the coordinate-wise order
+    statistic n // 2 (the median for odd n), and ``value`` is shifted back;
+    ``residual`` and ``objective`` are measured in that frame. With fewer
+    than half the points corrupted, c lies in every coordinate's honest
+    range, so the honest shifted coordinates are exact (Sterbenz) and
+    distances inside a tight honest cluster keep full relative precision.
+    Unshifted, a cluster 1e-8 wide at distance 1 from the origin puts 1e-8
+    relative error in every unit vector, and ``tol`` becomes unreachable.
+
     Starts from the coordinate-wise mean and iterates inverse-distance
     weighted averages, with per-point distances floored at
     ``smoothing * spread`` (spread = largest distance from the initial mean
     to a point). Stops when both the iterate displacement and the smoothed
-    subgradient norm drop to ``tol``, or at ``max_iters`` with
-    ``converged=False``. If strictly more than half the points are bitwise
-    identical, that point is returned exactly without iterating: the
-    coincident points alone certify optimality there.
+    subgradient norm (``residual``) drop to ``tol``, or at ``max_iters``
+    with ``converged=False``.
     """
     pts = _as_matrix(points)
     cfg = cfg if cfg is not None else WeiszfeldConfig()
 
     maj = _majority_point(pts)
     if maj is not None:
-        dists = np.linalg.norm(pts - maj, axis=1)
         return AggregateResult(
             value=maj,
             iterations=0,
-            objective=float(dists.sum()),
+            objective=float(np.linalg.norm(pts - maj, axis=1).sum()),
             converged=True,
-            residual=_residual_at(pts, maj, 0.0),
+            residual=0.0,
         )
 
+    original = pts
+    mid = pts.shape[0] // 2
+    center = np.partition(pts, mid, axis=0)[mid]
+    pts = pts - center
     x = pts.mean(axis=0)
-    spread = float(np.linalg.norm(pts - x, axis=1).max())
-    floor = cfg.smoothing * spread
-    tiny = np.finfo(np.float64).tiny
+    diffs = x - pts
+    dists = np.linalg.norm(diffs, axis=1)
+    floor = max(cfg.smoothing * float(dists.max()), np.finfo(np.float64).tiny)
 
     iterations = 0
     converged = False
@@ -199,32 +204,35 @@ def geometric_median(points, cfg: WeiszfeldConfig | None = None) -> AggregateRes
     # property, so failed vertices are cached.
     rejected_vertices: set[int] = set()
     for iterations in range(1, cfg.max_iters + 1):
-        dists = np.linalg.norm(pts - x, axis=1)
         j = int(np.argmin(dists))
         if j not in rejected_vertices:
-            if _subgradient_excess(pts, pts[j], 0.0) <= -cfg.tol:
+            to_vertex = pts[j] - pts
+            vertex_dists = np.linalg.norm(to_vertex, axis=1)
+            if _subgradient_excess(to_vertex, vertex_dists, 0.0) <= -cfg.tol:
                 return AggregateResult(
-                    value=pts[j].copy(),
+                    value=original[j].copy(),
                     iterations=iterations,
-                    objective=float(np.linalg.norm(pts - pts[j], axis=1).sum()),
+                    objective=float(vertex_dists.sum()),
                     converged=True,
                     residual=0.0,
                 )
             rejected_vertices.add(j)
-        weights = 1.0 / np.maximum(dists, max(floor, tiny))
+        weights = 1.0 / np.maximum(dists, floor)
         x_next = weights @ pts / weights.sum()
         displacement = float(np.linalg.norm(x_next - x))
         x = x_next
-        if displacement <= cfg.tol and _residual_at(pts, x, floor) <= cfg.tol:
+        diffs = x - pts
+        dists = np.linalg.norm(diffs, axis=1)
+        if displacement <= cfg.tol and _subgradient_excess(diffs, dists, floor) <= cfg.tol:
             converged = True
             break
 
     return AggregateResult(
-        value=x,
+        value=x + center,
         iterations=iterations,
-        objective=float(np.linalg.norm(pts - x, axis=1).sum()),
+        objective=float(dists.sum()),
         converged=converged,
-        residual=_residual_at(pts, x, floor),
+        residual=max(0.0, _subgradient_excess(diffs, dists, floor)),
     )
 
 

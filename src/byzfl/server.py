@@ -15,7 +15,7 @@ evaluation order and the order client specs are listed in.
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,7 +36,9 @@ from .clients import (
     SignFlip,
     ZeroVector,
     byzantine_message,
+    floor_decay_steps,
     honest_local_update,
+    linear_decay_steps,
 )
 from .config import ConfigError, CsvProblemSpec, ExperimentConfig, ScheduleSpec
 from .problems import (
@@ -131,19 +133,7 @@ class TraceRecord:
     wall_time_s: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "global_loss": self.global_loss,
-            "optimality_gap": self.optimality_gap,
-            "dist_to_opt_sq": self.dist_to_opt_sq,
-            "theorem1_bound": self.theorem1_bound,
-            "theorem2_bound": self.theorem2_bound,
-            "agg_iterations": self.agg_iterations,
-            "agg_residual": self.agg_residual,
-            "agg_converged": self.agg_converged,
-            "assumption_violating": self.assumption_violating,
-            "test_accuracy": self.test_accuracy,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "wall_time_s"}
 
 
 @dataclass
@@ -259,10 +249,8 @@ def _resolve_schedule(
     eta = eta_star if spec.eta == "auto" else float(spec.eta)
     if eta <= 0:
         raise ConfigError(f"schedule.eta must be positive, got {eta}")
-    if spec.kind == "floor_decay":
-        steps_fn = lambda t: max(0, spec.K1 * (1 - t // spec.E))  # noqa: E731
-    else:
-        steps_fn = lambda t: max(1, round(spec.K1 * (1.0 - t / spec.E)))  # noqa: E731
+    decay = floor_decay_steps if spec.kind == "floor_decay" else linear_decay_steps
+    steps_fn = decay(spec.K1, spec.E)
     resolved = ScheduleSpec(kind=spec.kind, eta=eta, K1=spec.K1, E=spec.E, steps="auto")
     sched = Schedule(steps=steps_fn, rate=lambda t, m, k: eta)
     return sched, resolved
@@ -278,11 +266,10 @@ def prepare(config: ExperimentConfig) -> PreparedExperiment:
             "set override_half_plus to run anyway (robustness guarantees void)"
         )
 
+    kind = Ridge(config.problem.reg) if config.problem.loss == "ridge" else Logistic(config.problem.reg)
     if isinstance(config.problem, CsvProblemSpec):
-        kind = Ridge(config.problem.reg) if config.problem.loss == "ridge" else Logistic(config.problem.reg)
         problem = problem_from_csv(config.problem.paths, kind)
     else:
-        kind = Ridge(config.problem.reg) if config.problem.loss == "ridge" else Logistic(config.problem.reg)
         problem = make_synthetic(
             p=config.problem.p,
             M=M,
@@ -395,6 +382,16 @@ def run_round(
     else:
         uploads = [_client_upload(prep, s, w_t, t) for s in specs]
     Z = np.stack(uploads)
+
+    # Drop Byzantine uploads whose squared norm overflows (no distance to them
+    # is representable); the rest stay under half corrupted. Honest ones mean
+    # the run diverged.
+    usable = np.isfinite(np.einsum("ij,ij->i", Z, Z))
+    if not usable.all():
+        bad = [s.m for s, ok in zip(specs, usable) if s.honest and not ok]
+        if bad:
+            raise FloatingPointError(f"round {t}: honest clients {bad} uploaded non-finite vectors")
+        Z = Z[usable]
 
     w_next, agg_iters, agg_residual, agg_converged = aggregate(prep.aggregator, Z)
 

@@ -222,11 +222,5 @@ def zero_gap_condition(
     M: int,
     B: int,
 ) -> bool:
-    """True iff round i satisfies sum_m prod_k gamma_m^{i,k} < (M - B) / C_beta^2 (strict)."""
-    total = 0.0
-    for m in honest:
-        prod = 1.0
-        for k in range(1, steps(i) + 1):
-            prod *= gamma(rate(i, m, k), mu, L_const, delta)
-        total += prod
-    return total < (M - B) / c_beta(B / M) ** 2
+    """True iff sum_m prod_k gamma_m^{i,k} < (M - B) / C_beta^2, i.e. round i's multiplier is < 1."""
+    return theorem2_round_multiplier(i, rate, steps, honest, mu, L_const, delta, M, B) < 1.0

@@ -140,6 +140,19 @@ class TestGeometricMedian:
         assert res.iterations == 2
         assert not res.converged
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_far_from_origin_leaves_nonoptimal_start_vertex(self, dim):
+        # The mean c lands exactly on a data point that is not the median
+        # c - 1. At |c| = 1e8 the escaping steps (~1e-9) are below one ulp
+        # of the raw coordinates, so the iterate only leaves that vertex in
+        # the median-centred frame.
+        c = 1e8
+        offsets = np.array([0.0, 5.0, -1.0, -2.0, -2.0])
+        pts = c + np.repeat(offsets[:, None], dim, axis=1)
+        res = geometric_median(pts)
+        assert res.converged
+        assert np.array_equal(res.value, np.full(dim, c - 1.0))
+
     # Positional equivariance within 10*tol is checked on 1000 generic random
     # configurations in byzfl.verify (and the acceptance suite). Hypothesis is
     # free to construct exactly degenerate configurations (flat valleys, ties)
@@ -270,6 +283,24 @@ class TestRobustness:
         pts = [np.array([10.0, 0.0]), np.array([20.0, 0.0]), np.array([30.0, 0.0])]
         with pytest.raises(ValueError):
             ball_robustness_check(pts, np.zeros(2), 0.5, q=1)
+
+    def test_tight_cluster_far_from_origin_converges(self):
+        # Worst case for float64: 40 honest points within r = 1e-8 of a
+        # center of norm 1, 10 outliers at distance ~30. Uncentred, every
+        # unit vector carries ~1e-8 relative error and tol is unreachable.
+        rng = np.random.default_rng(5)
+        p, r = 10, 1e-8
+        center = rng.standard_normal(p)
+        center /= np.linalg.norm(center)
+        inner = rng.standard_normal((40, p))
+        inner *= (r * rng.uniform(0.0, 1.0, 40) / np.linalg.norm(inner, axis=1))[:, None]
+        outer = rng.standard_normal((10, p))
+        outer *= (30.0 / np.linalg.norm(outer, axis=1))[:, None]
+        pts = np.vstack([center + inner, center + outer])
+        res = geometric_median(pts)
+        assert res.converged
+        assert res.iterations <= 100
+        assert np.linalg.norm(res.value - center) <= RobustnessCert(n=50, q=10).c_alpha * r
 
     def test_randomized_cases(self):
         # Small slice of the verification suite; the full 10k-case run lives

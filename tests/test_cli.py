@@ -1,5 +1,8 @@
 import json
+import math
 from pathlib import Path
+
+import pytest
 
 from byzfl.cli import main
 
@@ -144,6 +147,32 @@ class TestFailurePaths:
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 3
         assert "internal error" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_byzantine_uploads_are_dropped(self, tmp_path, capsys):
+        # sigma = 1e308 overflows most coordinates to inf and the rest past
+        # a representable squared norm; the run must carry on without them.
+        # Noisy honest uploads keep Weiszfeld iterating (no majority point).
+        payload = tiny_config(
+            attack={"kind": "gaussian", "sigma": 1e308}, oracle={"kind": "relative_noise", "delta": 0.5}
+        )
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        records = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+        assert len(records) == 8
+        for rec in records:
+            for key in ("global_loss", "optimality_gap", "dist_to_opt_sq", "agg_residual"):
+                assert math.isfinite(rec[key])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_honest_upload_exit_3(self, tmp_path, capsys):
+        schedule = {"kind": "uniform", "steps": 2, "eta": 1e300}
+        cfg = write_config(tmp_path, tiny_config(schedule=schedule))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "internal error" in err and "non-finite" in err
+        assert "Traceback" not in err
 
     def test_threads_env_respected(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, tiny_config(rounds=3))
