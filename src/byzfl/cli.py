@@ -1,8 +1,9 @@
 """Command-line interface: run experiments, sweep parameters, verify properties.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 internal solver failure. The environment variable BYZFL_THREADS caps
-client-evaluation parallelism (0 = one worker per CPU).
+3 internal solver failure. The environment variable BYZFL_THREADS is
+validated (a nonnegative integer, 0 = one per CPU) but has no effect: honest
+clients run as one batched update.
 
 A run writes three artifacts into the output directory:
     trace.jsonl   one JSON object per round (full trace record)

@@ -1,9 +1,12 @@
 """Client-side behavior: multi-step local SGD and Byzantine message generation.
 
-An honest client runs K^t SGD steps from the broadcast iterate with
-per-step rates eta(t, m, k), drawing a fresh stochastic gradient each step
-from a stream keyed by (round, client, step). Byzantine clients ignore
-schedules and data entirely and emit a vector chosen by their attack kind.
+Honest clients run K^t SGD steps from the broadcast iterate with per-step
+rates eta(t, m, k), all of them together: step k is one batched gradient
+evaluation over the honest clients. Its random draws come from one stream
+keyed by (round, step) that holds a fixed row per client id, so a client's
+upload does not depend on which other clients share the batch or on their
+order. Byzantine clients ignore schedules and data entirely and emit a
+vector chosen by their attack kind.
 """
 
 from dataclasses import dataclass
@@ -119,31 +122,33 @@ class ClientSpec:
 
 def honest_local_update(
     problem: Problem,
-    m: int,
+    ids,
     w_t: np.ndarray,
     t: int,
     schedule: Schedule,
     oracle_mode: GradOracleMode,
     master_seed: int,
 ) -> np.ndarray:
-    """Run K^t local SGD steps from w_t and return the upload z_m^t.
+    """Run K^t local SGD steps from w_t for clients ``ids``; row i is client ids[i]'s upload.
 
-    Step k uses rate(t, m, k) and a gradient drawn from the stream keyed
-    (master_seed, 'grad', t, m, k), so the result is independent of
-    evaluation order. K^t = 0 returns w_t unchanged.
+    Step k uses rate(t, m, k) and one batched gradient whose draws come from
+    the stream keyed (master_seed, 'grad', t, k), so each row is independent
+    of the batch's membership and order. K^t = 0 returns copies of w_t.
     """
-    w = np.asarray(w_t, dtype=np.float64).copy()
+    ids = np.asarray(ids, dtype=np.intp)
+    W = np.tile(np.asarray(w_t, dtype=np.float64), (ids.size, 1))
     K = schedule.steps(t)
     if K < 0:
         raise ValueError(f"steps({t}) must be nonnegative, got {K}")
     needs_rng = not isinstance(oracle_mode, FullGradient)
     for k in range(1, K + 1):
-        eta = schedule.rate(t, m, k)
-        if eta <= 0:
-            raise ValueError(f"rate({t}, {m}, {k}) must be positive, got {eta}")
-        rng = substream(master_seed, "grad", t, m, k) if needs_rng else None
-        w -= eta * local_stoch_grad(problem, m, w, oracle_mode, rng)
-    return w
+        eta = np.array([schedule.rate(t, m, k) for m in ids], dtype=np.float64)
+        bad = eta <= 0
+        if bad.any():
+            raise ValueError(f"rate({t}, {ids[bad][0]}, {k}) must be positive, got {eta[bad][0]}")
+        rng = substream(master_seed, "grad", t, k) if needs_rng else None
+        W -= eta[:, None] * local_stoch_grad(problem, ids, W, oracle_mode, rng)
+    return W
 
 
 def byzantine_message(

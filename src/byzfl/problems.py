@@ -3,6 +3,8 @@
 Ridge and logistic problems over per-user datasets, exposing the weighted
 global loss, per-user local losses, exact and stochastic gradients, the
 strong-convexity / smoothness constants (mu, L), and the global minimizer.
+A problem stores all users' samples once, as zero-padded stacked arrays, so
+the stochastic oracle evaluates a whole batch of users in one call.
 Everything here is deterministic given its inputs; stochastic gradient
 oracles take an explicit generator so callers control the stream.
 """
@@ -82,7 +84,7 @@ class Dataset:
             raise ValueError(
                 f"targets shape {self.targets.shape} does not match {self.inputs.shape[0]} rows"
             )
-        if not (np.all(np.isfinite(self.inputs)) and np.all(np.isfinite(self.targets))):
+        if not (np.isfinite(self.inputs).all() and np.isfinite(self.targets).all()):
             raise ValueError("dataset contains non-finite values")
 
     @property
@@ -96,47 +98,80 @@ class Dataset:
 
 @dataclass
 class Problem:
-    """Per-user datasets plus the loss kind; caches Gram moments on build."""
+    """All users' samples stacked once, plus the loss kind; caches Gram moments on build.
 
-    per_user: tuple[Dataset, ...]
+    ``inputs`` is (M, S_max, p) and ``targets`` (M, S_max): user m's samples
+    are the first ``counts[m]`` rows and the rest is zero padding. ``per_user``
+    holds one Dataset per user whose arrays are views of its unpadded rows.
+    """
+
+    inputs: np.ndarray
+    targets: np.ndarray
+    counts: np.ndarray
     loss_kind: LossKind
     test_set: Dataset | None = None
 
+    per_user: tuple[Dataset, ...] = field(init=False, repr=False)
+    padding: np.ndarray = field(init=False, repr=False)
     user_weights: np.ndarray = field(init=False, repr=False)
-    _grams: list[np.ndarray] = field(init=False, repr=False)
-    _moments: list[np.ndarray] = field(init=False, repr=False)
+    grams: np.ndarray = field(init=False, repr=False)
+    moments: np.ndarray = field(init=False, repr=False)
     _gram_global: np.ndarray = field(init=False, repr=False)
     _moment_global: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.per_user = tuple(self.per_user)
-        if len(self.per_user) < 1:
-            raise ValueError("need at least one user")
-        dims = {d.dim for d in self.per_user}
-        if len(dims) != 1:
-            raise ValueError(f"users disagree on feature dimension: {dims}")
-        sizes = np.array([d.n_samples for d in self.per_user], dtype=np.float64)
-        self.user_weights = sizes / sizes.sum()
+        self.inputs = np.ascontiguousarray(self.inputs, dtype=np.float64)
+        self.targets = np.ascontiguousarray(self.targets, dtype=np.float64)
+        self.counts = np.asarray(self.counts, dtype=np.intp)
+        M = self.inputs.shape[0] if self.inputs.ndim == 3 else 0
+        if M < 1 or self.targets.shape != self.inputs.shape[:2] or self.counts.shape != (M,):
+            raise ValueError(
+                f"need stacked inputs (M, S, p), targets (M, S) and counts (M,) with M >= 1, got "
+                f"{self.inputs.shape}, {self.targets.shape}, {self.counts.shape}"
+            )
+        if self.counts.min() < 1 or self.counts.max() > self.inputs.shape[1]:
+            raise ValueError(f"sample counts must lie in [1, {self.inputs.shape[1]}]")
+        self.padding = np.arange(self.inputs.shape[1]) >= self.counts[:, None]
+        if np.any(self.inputs[self.padding]):
+            raise ValueError("padding rows of inputs must be zero")
+        self.per_user = tuple(
+            Dataset(inputs=self.inputs[m, :s], targets=self.targets[m, :s])
+            for m, s in enumerate(self.counts)
+        )
+        self.user_weights = self.counts / self.counts.sum()
         # Cached second moments: G_m = X'X/S_m and c_m = X'y/S_m make full
         # gradients O(p^2) regardless of S_m.
-        self._grams = [d.inputs.T @ d.inputs / d.n_samples for d in self.per_user]
-        self._moments = [d.inputs.T @ d.targets / d.n_samples for d in self.per_user]
-        self._gram_global = sum(
-            u * g for u, g in zip(self.user_weights, self._grams)
-        )
-        self._moment_global = sum(
-            u * c for u, c in zip(self.user_weights, self._moments)
-        )
+        self.grams = np.stack([d.inputs.T @ d.inputs / d.n_samples for d in self.per_user])
+        self.moments = np.stack([d.inputs.T @ d.targets / d.n_samples for d in self.per_user])
+        self._gram_global = sum(u * g for u, g in zip(self.user_weights, self.grams))
+        self._moment_global = sum(u * c for u, c in zip(self.user_weights, self.moments))
         if self.test_set is not None and self.test_set.dim != self.dim:
             raise ValueError("test set dimension does not match training data")
 
+    @classmethod
+    def from_datasets(cls, per_user, loss_kind: LossKind, test_set: Dataset | None = None) -> "Problem":
+        """Stack per-user datasets, zero-padded to the largest, into one problem."""
+        per_user = tuple(per_user)
+        if len(per_user) < 1:
+            raise ValueError("need at least one user")
+        dims = {d.dim for d in per_user}
+        if len(dims) != 1:
+            raise ValueError(f"users disagree on feature dimension: {dims}")
+        counts = np.array([d.n_samples for d in per_user])
+        inputs = np.zeros((len(per_user), counts.max(), dims.pop()))
+        targets = np.zeros(inputs.shape[:2])
+        for m, d in enumerate(per_user):
+            inputs[m, : d.n_samples] = d.inputs
+            targets[m, : d.n_samples] = d.targets
+        return cls(inputs, targets, counts, loss_kind, test_set)
+
     @property
     def n_users(self) -> int:
-        return len(self.per_user)
+        return self.inputs.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.per_user[0].dim
+        return self.inputs.shape[2]
 
     @property
     def lam(self) -> float:
@@ -196,12 +231,8 @@ class SmoothnessConstants:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))  # never overflows
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _check_w(problem: Problem, w) -> np.ndarray:
@@ -232,13 +263,34 @@ def global_loss(problem: Problem, w) -> float:
     )
 
 
+def _fit_grads(kind: LossKind, X: np.ndarray, y: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Rows X'(link(X w) - y), one per row w of W, with X (S, p) shared or stacked (n, S, p).
+
+    Stacked matmuls run one BLAS matrix-vector product per row, so each row
+    equals the unbatched product bitwise, whatever else is in the batch.
+    """
+    z = np.matmul(X, W[:, :, None])[:, :, 0]
+    r = z - y if isinstance(kind, Ridge) else _sigmoid(z) - y
+    return np.matmul(np.swapaxes(X, -1, -2), r[:, :, None])[:, :, 0]
+
+
+def _global_grads(problem: Problem, W: np.ndarray) -> np.ndarray:
+    """global_gradient at each row of W."""
+    if isinstance(problem.loss_kind, Ridge):
+        return np.matmul(problem._gram_global, W[:, :, None])[:, :, 0] - problem._moment_global + problem.lam * W
+    G = problem.lam * W
+    for u, data in zip(problem.user_weights, problem.per_user):
+        G = G + u * (_fit_grads(problem.loss_kind, data.inputs, data.targets, W) / data.n_samples)
+    return G
+
+
 def local_gradient(problem: Problem, m: int, w) -> np.ndarray:
     """Exact gradient of local_loss(problem, m, .)."""
     if not 0 <= m < problem.n_users:
         raise ValueError(f"user index {m} out of range [0, {problem.n_users})")
     w = _check_w(problem, w)
     if isinstance(problem.loss_kind, Ridge):
-        return problem._grams[m] @ w - problem._moments[m] + problem.lam * w
+        return problem.grams[m] @ w - problem.moments[m] + problem.lam * w
     data = problem.per_user[m]
     resid = _sigmoid(data.inputs @ w) - data.targets
     return data.inputs.T @ resid / data.n_samples + problem.lam * w
@@ -259,39 +311,53 @@ def global_gradient(problem: Problem, w) -> np.ndarray:
 
 def local_stoch_grad(
     problem: Problem,
-    m: int,
-    w,
+    ids,
+    W,
     mode: GradOracleMode,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Stochastic gradient for user m under the given oracle mode.
+    """Stochastic gradients of a batch of users: row i is user ids[i]'s at W[i].
 
-    FullGradient ignores rng; the other modes require one draw from it, so
-    callers key the generator by (round, client, step).
+    FullGradient ignores rng. The other modes draw one block from it with a
+    row per user 0..M-1 and keep the rows of ``ids``, so a user's draw, like
+    its gradient, does not depend on which users share the batch; callers
+    key the generator by (round, step).
     """
+    ids = np.asarray(ids, dtype=np.intp)
+    W = np.asarray(W, dtype=np.float64)
+    if ids.ndim != 1 or W.shape != (ids.size, problem.dim):
+        raise ValueError(f"need ids (n,) and W (n, {problem.dim}), got {ids.shape} and {W.shape}")
+    if np.any((ids < 0) | (ids >= problem.n_users)):
+        raise ValueError(f"user ids must lie in [0, {problem.n_users})")
+    kind, lam = problem.loss_kind, problem.lam
     if isinstance(mode, FullGradient):
-        return local_gradient(problem, m, w)
+        if isinstance(kind, Ridge):
+            return np.matmul(problem.grams[ids], W[:, :, None])[:, :, 0] - problem.moments[ids] + lam * W
+        fit = _fit_grads(kind, problem.inputs[ids], problem.targets[ids], W)
+        return fit / problem.counts[ids, None] + lam * W
     if rng is None:
         raise ValueError(f"{type(mode).__name__} oracle needs a random generator")
     if isinstance(mode, Minibatch):
-        data = problem.per_user[m]
-        if mode.batch_size > data.n_samples:
-            raise ValueError(
-                f"batch_size {mode.batch_size} exceeds user {m}'s {data.n_samples} samples"
-            )
-        w = _check_w(problem, w)
-        idx = rng.choice(data.n_samples, size=mode.batch_size, replace=False)
-        X, y = data.inputs[idx], data.targets[idx]
-        if isinstance(problem.loss_kind, Ridge):
-            return X.T @ (X @ w - y) / mode.batch_size + problem.lam * w
-        return X.T @ (_sigmoid(X @ w) - y) / mode.batch_size + problem.lam * w
+        b = mode.batch_size
+        short = ids[problem.counts[ids] < b]
+        if short.size:
+            m = short[0]
+            raise ValueError(f"batch_size {b} exceeds user {m}'s {problem.counts[m]} samples")
+        # The b smallest of i.i.d. uniform keys index a uniform subset drawn
+        # without replacement; padding keys sit above every real one.
+        keys = rng.random(problem.targets.shape)
+        keys[problem.padding] = 2.0
+        S_max = keys.shape[1]
+        flat = ids[:, None] * S_max + np.argpartition(keys[ids], b - 1, axis=1)[:, :b]
+        X = problem.inputs.reshape(-1, problem.dim).take(flat, axis=0)
+        return _fit_grads(kind, X, problem.targets.take(flat), W) / b + lam * W
     # RelativeNoise: perturb the global gradient along a uniform unit direction.
-    g = global_gradient(problem, w)
+    G = _global_grads(problem, W)
     if mode.delta == 0.0:
-        return g
-    direction = rng.standard_normal(problem.dim)
-    direction /= np.linalg.norm(direction)
-    return g + mode.delta * np.linalg.norm(g) * direction
+        return G
+    D = rng.standard_normal((problem.n_users, problem.dim))[ids]
+    D /= np.linalg.norm(D, axis=1, keepdims=True)
+    return G + mode.delta * np.linalg.norm(G, axis=1, keepdims=True) * D
 
 
 def _lambda_max(H: np.ndarray, rtol: float = 1e-12, max_iters: int = 200_000) -> float:
@@ -434,16 +500,16 @@ def make_synthetic(
     X_shared = substream(seed, "data-x-shared").standard_normal((S_per_user, p))
     noise_shared = substream(seed, "data-noise-shared").standard_normal(S_per_user)
 
-    users = []
+    X = np.empty((M, S_per_user, p))
+    y = np.empty((M, S_per_user))
     for m in range(M):
-        X = a * X_shared + b * substream(seed, "data-x", m).standard_normal((S_per_user, p))
+        X[m] = a * X_shared + b * substream(seed, "data-x", m).standard_normal((S_per_user, p))
         eps = a * noise_shared + b * substream(seed, "data-noise", m).standard_normal(S_per_user)
-        margin = X @ w_true
+        margin = X[m] @ w_true
         if isinstance(loss_kind, Ridge):
-            y = margin + 0.1 * eps
+            y[m] = margin + 0.1 * eps
         else:
-            y = (margin + 0.5 * eps > 0.0).astype(np.float64)
-        users.append(Dataset(inputs=X, targets=y))
+            y[m] = margin + 0.5 * eps > 0.0
 
     test_set = None
     if isinstance(loss_kind, Logistic) and test_size > 0:
@@ -452,7 +518,7 @@ def make_synthetic(
         y_test = (X_test @ w_true + 0.5 * rng.standard_normal(test_size) > 0.0).astype(np.float64)
         test_set = Dataset(inputs=X_test, targets=y_test)
 
-    return Problem(per_user=tuple(users), loss_kind=loss_kind, test_set=test_set)
+    return Problem(X, y, np.full(M, S_per_user), loss_kind, test_set)
 
 
 def problem_from_csv(paths, loss_kind: LossKind) -> Problem:
@@ -463,4 +529,4 @@ def problem_from_csv(paths, loss_kind: LossKind) -> Problem:
         if table.shape[1] < 2:
             raise ValueError(f"{path}: need at least one feature column and a label column")
         users.append(Dataset(inputs=table[:, :-1], targets=table[:, -1]))
-    return Problem(per_user=tuple(users), loss_kind=loss_kind)
+    return Problem.from_datasets(users, loss_kind)

@@ -2,11 +2,10 @@
 
 Every random draw in a simulation is produced by a generator derived from
 ``(master_seed, purpose, *indices)``, where ``purpose`` is a short string
-naming the draw site (e.g. ``"minibatch"``, ``"attack"``) and the indices
-identify round, client, and step. Because the generator is a pure function
+naming the draw site (e.g. ``"grad"``, ``"attack"``) and the indices
+identify round, client, or step. Because the generator is a pure function
 of the key, the same draw is obtained no matter which order clients are
-evaluated in, whether evaluation is serial or threaded, and across runs
-with the same master seed.
+evaluated in, and across runs with the same master seed.
 """
 
 import zlib

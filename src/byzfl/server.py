@@ -6,15 +6,14 @@ replaced); ``run_round``/``run_experiment`` execute the protocol and emit
 one TraceRecord per round, carrying the measured optimality gap next to the
 theory envelopes so runs can be checked against the guarantees.
 
-Client evaluations inside a round are pure functions of the broadcast and
-keyed random streams, so they may run threaded; uploads are always
-assembled in client-id order, which makes traces independent of both
-evaluation order and the order client specs are listed in.
+All honest clients of a round run their local SGD as one batched update;
+Byzantine uploads are generated per client from streams keyed by (round,
+client). Uploads are assembled in client-id order, so traces do not depend
+on the order client specs are listed in.
 """
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -353,35 +352,23 @@ def prepare(config: ExperimentConfig) -> PreparedExperiment:
     )
 
 
-def _client_upload(prep: PreparedExperiment, spec: ClientSpec, w_t: np.ndarray, t: int) -> np.ndarray:
-    if spec.honest:
-        return honest_local_update(
-            prep.problem, spec.m, w_t, t, prep.schedule, prep.oracle_mode, prep.master_seed
-        )
-    return byzantine_message(
-        spec.attack, w_t, substream(prep.master_seed, "attack", t, spec.m), honest_center=w_t
-    )
-
-
-def run_round(
-    prep: PreparedExperiment,
-    w_t: np.ndarray,
-    t: int,
-    executor: ThreadPoolExecutor | None = None,
-) -> tuple[np.ndarray, TraceRecord]:
+def run_round(prep: PreparedExperiment, w_t: np.ndarray, t: int) -> tuple[np.ndarray, TraceRecord]:
     """Execute round t from broadcast w_t; returns (w_{t+1}, record).
 
     Advances the cumulative general-schedule envelope held by ``prep``, so
-    rounds must be executed in order (client evaluation inside the round is
-    order-free).
+    rounds must be executed in order.
     """
     start = time.perf_counter()
     specs = sorted(prep.client_specs, key=lambda s: s.m)
-    if executor is not None:
-        uploads = list(executor.map(lambda s: _client_upload(prep, s, w_t, t), specs))
-    else:
-        uploads = [_client_upload(prep, s, w_t, t) for s in specs]
-    Z = np.stack(uploads)
+    honest = [i for i, s in enumerate(specs) if s.honest]
+    Z = np.empty((len(specs), w_t.shape[0]))
+    Z[honest] = honest_local_update(
+        prep.problem, [specs[i].m for i in honest], w_t, t, prep.schedule, prep.oracle_mode, prep.master_seed
+    )
+    for i, s in enumerate(specs):
+        if not s.honest:
+            rng = substream(prep.master_seed, "attack", t, s.m)
+            Z[i] = byzantine_message(s.attack, w_t, rng, honest_center=w_t)
 
     # Drop Byzantine uploads whose squared norm overflows (no distance to them
     # is representable); the rest stay under half corrupted. Honest ones mean
@@ -438,21 +425,23 @@ def run_round(
 
 
 def run_prepared(prep: PreparedExperiment, n_threads: int = 1) -> list[TraceRecord]:
-    """Run all configured rounds from w1; one record per round."""
+    """Run all configured rounds from w1; one record per round.
+
+    ``n_threads`` is accepted for compatibility and has no effect: honest
+    clients already run as one batched update.
+    """
     prep.theorem2_cum = 1.0
     records: list[TraceRecord] = []
     w = prep.w1.copy()
-    executor = ThreadPoolExecutor(max_workers=n_threads) if n_threads > 1 else None
-    try:
-        for t in range(1, prep.rounds + 1):
-            w, rec = run_round(prep, w, t, executor=executor)
-            records.append(rec)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for t in range(1, prep.rounds + 1):
+        w, rec = run_round(prep, w, t)
+        records.append(rec)
     return records
 
 
 def run_experiment(config: ExperimentConfig, n_threads: int = 1) -> list[TraceRecord]:
-    """Prepare and run a configuration; bitwise deterministic given its seed."""
+    """Prepare and run a configuration; bitwise deterministic given its seed.
+
+    ``n_threads`` has no effect (see ``run_prepared``).
+    """
     return run_prepared(prepare(config), n_threads=n_threads)

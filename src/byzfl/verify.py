@@ -242,7 +242,7 @@ def assumptions_suite(seed: int = 2025, n_pairs: int = 1000, n_noise: int = 100_
     ratios = np.empty(n_noise)
     means = np.zeros(problem.dim)
     for i in range(n_noise):
-        noisy = local_stoch_grad(problem, 0, w, RelativeNoise(delta), rng)
+        noisy = local_stoch_grad(problem, [0], w[None], RelativeNoise(delta), rng)[0]
         noise = noisy - g
         ratios[i] = (noise @ noise) / (g @ g)
         means += noise

@@ -16,13 +16,18 @@ from byzfl.clients import (
 from byzfl.problems import (
     Dataset,
     FullGradient,
+    Logistic,
+    Minibatch,
     Problem,
     RelativeNoise,
     Ridge,
     constants,
+    global_gradient,
+    local_gradient,
     local_stoch_grad,
     make_synthetic,
     optimum,
+    problem_from_csv,
 )
 from byzfl.rng import substream
 from byzfl.theory import gamma, stable_eta_range
@@ -30,7 +35,11 @@ from byzfl.theory import gamma, stable_eta_range
 
 def quadratic_1d():
     """F(w) = 0.5 w^2 via a single sample x=1, y=0, lam=0."""
-    return Problem(per_user=(Dataset(inputs=np.array([[1.0]]), targets=np.array([0.0])),), loss_kind=Ridge(lam=0.0))
+    return Problem.from_datasets((Dataset(inputs=np.array([[1.0]]), targets=np.array([0.0])),), Ridge(lam=0.0))
+
+
+ORACLES = [FullGradient(), Minibatch(batch_size=4), RelativeNoise(0.4)]
+LOSSES = [Ridge(lam=0.3), Logistic(lam=0.3)]
 
 
 class TestHonestLocalUpdate:
@@ -38,15 +47,16 @@ class TestHonestLocalUpdate:
         prob = make_synthetic(p=3, M=2, S_per_user=5, seed=0)
         sched = Schedule(steps=lambda t: 0, rate=lambda t, m, k: 0.1)
         w = np.array([1.0, -2.0, 3.0])
-        out = honest_local_update(prob, 0, w, 1, sched, FullGradient(), 7)
-        assert np.array_equal(out, w)
+        out = honest_local_update(prob, [0, 1], w, 1, sched, FullGradient(), 7)
+        assert out.shape == (2, 3)
+        assert np.array_equal(out, [w, w])
 
     def test_1d_quadratic_hand_case(self):
         # Each step multiplies by (1 - eta): 8 * 0.5^3 = 1.
         prob = quadratic_1d()
         sched = Schedule.uniform(3, 0.5)
-        out = honest_local_update(prob, 0, np.array([8.0]), 1, sched, FullGradient(), 0)
-        assert out[0] == pytest.approx(1.0, rel=1e-14)
+        out = honest_local_update(prob, [0], np.array([8.0]), 1, sched, FullGradient(), 0)
+        assert out[0, 0] == pytest.approx(1.0, rel=1e-14)
 
     def test_lemma_contraction_on_quadratics(self):
         # Deterministic per-client contraction: ||z - w*||^2 <= gamma^K ||w_t - w*||^2.
@@ -60,7 +70,7 @@ class TestHonestLocalUpdate:
             K = int(rng.integers(1, 8))
             g = gamma(eta, c.mu, c.L_const, 0.0)
             w_t = rng.standard_normal(4) * 3
-            z = honest_local_update(prob, 0, w_t, 1, Schedule.uniform(K, eta), FullGradient(), seed)
+            z = honest_local_update(prob, [0], w_t, 1, Schedule.uniform(K, eta), FullGradient(), seed)[0]
             lhs = np.linalg.norm(z - w_star) ** 2
             rhs = g**K * np.linalg.norm(w_t - w_star) ** 2
             assert lhs <= rhs * (1 + 1e-9)
@@ -74,44 +84,96 @@ class TestHonestLocalUpdate:
         w = substream(4, "w0").standard_normal(5) * 2
         prev = np.linalg.norm(w - w_star)
         for k in range(30):
-            w = honest_local_update(prob, 0, w, k + 1, sched, FullGradient(), 0)
+            w = honest_local_update(prob, [0], w, k + 1, sched, FullGradient(), 0)[0]
             d = np.linalg.norm(w - w_star)
             assert d <= prev * (1 + 1e-12)
             prev = d
 
     def test_telescoping_identity(self):
         # z equals w_t minus the sum of eta * gradient steps, reconstructed
-        # from the same keyed streams.
+        # from the same keyed streams: one (round, step) block per step, of
+        # which client m reads its own row.
         prob = make_synthetic(p=4, M=3, S_per_user=20, seed=5, heterogeneity=0.4)
         mode = RelativeNoise(0.3)
         sched = Schedule(steps=lambda t: 6, rate=lambda t, m, k: 0.01 * k + 0.002 * m)
         seed, t, m = 11, 4, 2
         w_t = substream(seed, "wt").standard_normal(4)
-        z = honest_local_update(prob, m, w_t, t, sched, mode, seed)
+        z = honest_local_update(prob, [0, m], w_t, t, sched, mode, seed)[1]
 
         w = w_t.copy()
         total = np.zeros(4)
         for k in range(1, 7):
-            g = local_stoch_grad(prob, m, w, mode, substream(seed, "grad", t, m, k))
+            g = global_gradient(prob, w)
+            u = substream(seed, "grad", t, k).standard_normal((prob.n_users, 4))[m]
+            g = g + 0.3 * np.linalg.norm(g) * u / np.linalg.norm(u)
             total += sched.rate(t, m, k) * g
             w = w - sched.rate(t, m, k) * g
         assert np.linalg.norm(z - (w_t - total)) <= 1e-12 * max(1.0, np.linalg.norm(z))
+
+    @pytest.mark.parametrize("kind", LOSSES, ids=lambda k: type(k).__name__)
+    @pytest.mark.parametrize("mode", ORACLES, ids=lambda o: type(o).__name__)
+    def test_rows_independent_of_batch(self, mode, kind):
+        # A client's upload is bitwise the same in the full honest batch, in a
+        # reversed subset and alone.
+        prob = make_synthetic(p=5, M=7, S_per_user=12, seed=8, heterogeneity=0.7, loss_kind=kind)
+        sched = Schedule(steps=lambda t: 4, rate=lambda t, m, k: 0.05 + 0.01 * m)
+        w_t = substream(3, "wt").standard_normal(5)
+        honest = [0, 1, 2, 3, 4, 5]
+        full = honest_local_update(prob, honest, w_t, 2, sched, mode, 17)
+        subset = [5, 3, 2, 0]
+        part = honest_local_update(prob, subset, w_t, 2, sched, mode, 17)
+        for i, m in enumerate(subset):
+            assert np.array_equal(part[i], full[m])
+        for m in honest:
+            alone = honest_local_update(prob, [m], w_t, 2, sched, mode, 17)
+            assert np.array_equal(alone[0], full[m])
+        if isinstance(mode, FullGradient):
+            for m in honest:
+                w = w_t.copy()
+                for k in range(1, 5):
+                    w -= sched.rate(2, m, k) * local_gradient(prob, m, w)
+                assert np.array_equal(full[m], w)
+        else:
+            assert not np.array_equal(full[0], honest_local_update(prob, [0], w_t, 3, sched, mode, 17)[0])
 
     def test_reproducible_and_order_independent(self):
         prob = make_synthetic(p=3, M=4, S_per_user=15, seed=6, heterogeneity=0.5)
         mode = RelativeNoise(0.5)
         sched = Schedule.uniform(3, 0.05)
         w_t = np.ones(3)
-        first = [honest_local_update(prob, m, w_t, 2, sched, mode, 9) for m in range(4)]
-        second = [honest_local_update(prob, m, w_t, 2, sched, mode, 9) for m in reversed(range(4))]
-        for m in range(4):
-            assert np.array_equal(first[m], second[3 - m])
+        first = honest_local_update(prob, [0, 1, 2, 3], w_t, 2, sched, mode, 9)
+        second = honest_local_update(prob, [3, 2, 1, 0], w_t, 2, sched, mode, 9)
+        assert np.array_equal(first, second[::-1])
 
     def test_rejects_bad_rate(self):
         prob = make_synthetic(p=2, M=1, S_per_user=5, seed=7)
         sched = Schedule(steps=lambda t: 1, rate=lambda t, m, k: 0.0)
         with pytest.raises(ValueError):
-            honest_local_update(prob, 0, np.zeros(2), 1, sched, FullGradient(), 0)
+            honest_local_update(prob, [0], np.zeros(2), 1, sched, FullGradient(), 0)
+
+    def test_minibatch_never_reads_padding(self, tmp_path):
+        # Users hold 3, 9 and 5 samples, so the stacked data carries zero
+        # padding. With batch_size equal to a user's sample count, every
+        # minibatch is all of its samples, once each: the stochastic gradient
+        # is its full local gradient.
+        rng = np.random.default_rng(4)
+        paths = []
+        for m, s in enumerate([3, 9, 5]):
+            path = tmp_path / f"u{m}.csv"
+            table = np.column_stack([rng.standard_normal((s, 3)), rng.integers(0, 2, s)])
+            np.savetxt(path, table, delimiter=",")
+            paths.append(str(path))
+        for kind in LOSSES:
+            prob = problem_from_csv(paths, kind)
+            assert prob.inputs.shape == (3, 9, 3)
+            for b, m in ((3, 0), (5, 2)):
+                W = rng.standard_normal((4, 3))
+                for t in range(1, 6):
+                    G = local_stoch_grad(prob, [m] * 4, W, Minibatch(batch_size=b), substream(1, "grad", t, 1))
+                    for w, g in zip(W, G):
+                        assert np.max(np.abs(g - local_gradient(prob, m, w))) <= 1e-12
+            with pytest.raises(ValueError):
+                local_stoch_grad(prob, [0, 1], np.zeros((2, 3)), Minibatch(batch_size=4), substream(1, "grad"))
 
 
 class TestByzantineMessage:

@@ -34,7 +34,7 @@ def finite_diff_gradient(f, w, h=1e-6):
 
 
 def single_user_problem(X, y, kind):
-    return Problem(per_user=(Dataset(inputs=X, targets=y),), loss_kind=kind)
+    return Problem.from_datasets((Dataset(inputs=X, targets=y),), kind)
 
 
 class TestLosses:
@@ -113,13 +113,13 @@ class TestStochasticOracles:
         prob = make_synthetic(p=3, M=2, S_per_user=10, seed=10)
         w = np.ones(3)
         assert np.array_equal(
-            local_stoch_grad(prob, 0, w, FullGradient()), local_gradient(prob, 0, w)
+            local_stoch_grad(prob, [0], w[None], FullGradient())[0], local_gradient(prob, 0, w)
         )
 
     def test_relative_noise_zero_delta_exact(self):
         prob = make_synthetic(p=3, M=2, S_per_user=10, seed=11)
         w = np.ones(3)
-        g = local_stoch_grad(prob, 0, w, RelativeNoise(0.0), substream(0, "x"))
+        g = local_stoch_grad(prob, [0], w[None], RelativeNoise(0.0), substream(0, "x"))[0]
         assert np.array_equal(g, global_gradient(prob, w))
 
     def test_relative_noise_norm_exact_per_draw(self):
@@ -128,7 +128,7 @@ class TestStochasticOracles:
         g = global_gradient(prob, w)
         rng = substream(1, "noise")
         for _ in range(100):
-            noisy = local_stoch_grad(prob, 0, w, RelativeNoise(0.5), rng)
+            noisy = local_stoch_grad(prob, [0], w[None], RelativeNoise(0.5), rng)[0]
             ratio = np.linalg.norm(noisy - g) / np.linalg.norm(g)
             assert ratio == pytest.approx(0.5, rel=1e-12)
 
@@ -142,7 +142,7 @@ class TestStochasticOracles:
         n = 100_000
         ratios = np.empty(n)
         for i in range(n):
-            noisy = local_stoch_grad(prob, 0, w, RelativeNoise(0.7), rng)
+            noisy = local_stoch_grad(prob, [0], w[None], RelativeNoise(0.7), rng)[0]
             d = noisy - g
             ratios[i] = (d @ d) / gsq
         assert abs(ratios.mean() - 0.49) <= 0.05 * 0.49
@@ -155,7 +155,7 @@ class TestStochasticOracles:
         n = 100_000
         draws = np.empty((n, 4))
         for i in range(n):
-            draws[i] = local_stoch_grad(prob, 0, w, Minibatch(batch_size=5), rng)
+            draws[i] = local_stoch_grad(prob, [0], w[None], Minibatch(batch_size=5), rng)[0]
         mean = draws.mean(axis=0)
         sigma = draws.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(mean - exact) <= 4 * sigma + 1e-12)
@@ -163,12 +163,12 @@ class TestStochasticOracles:
     def test_minibatch_too_large_rejected(self):
         prob = make_synthetic(p=2, M=1, S_per_user=4, seed=15)
         with pytest.raises(ValueError):
-            local_stoch_grad(prob, 0, np.zeros(2), Minibatch(batch_size=5), substream(0, "x"))
+            local_stoch_grad(prob, [0], np.zeros((1, 2)), Minibatch(batch_size=5), substream(0, "x"))
 
     def test_stochastic_modes_require_rng(self):
         prob = make_synthetic(p=2, M=1, S_per_user=4, seed=16)
         with pytest.raises(ValueError):
-            local_stoch_grad(prob, 0, np.zeros(2), Minibatch(batch_size=2))
+            local_stoch_grad(prob, [0], np.zeros((1, 2)), Minibatch(batch_size=2))
 
 
 def orthogonal_design_problem(eigs, lam, S=None):
@@ -336,3 +336,24 @@ class TestCsvImport:
             paths.append(str(path))
         prob = problem_from_csv(paths, Ridge(lam=0.2))
         assert np.allclose(prob.user_weights, [0.25, 0.75])
+
+    def test_users_are_views_of_zero_padded_stack(self, tmp_path):
+        rng = np.random.default_rng(2)
+        paths = []
+        for m, s in enumerate([4, 12]):
+            table = np.column_stack([rng.standard_normal((s, 2)), rng.standard_normal(s)])
+            path = tmp_path / f"u{m}.csv"
+            np.savetxt(path, table, delimiter=",")
+            paths.append(str(path))
+        prob = problem_from_csv(paths, Ridge(lam=0.2))
+        assert prob.inputs.shape == (2, 12, 2) and list(prob.counts) == [4, 12]
+        assert not np.any(prob.inputs[0, 4:])
+        for d in prob.per_user:
+            assert np.shares_memory(d.inputs, prob.inputs) and np.shares_memory(d.targets, prob.targets)
+        assert prob.per_user[0].n_samples == 4
+        synthetic = make_synthetic(p=3, M=4, S_per_user=5, seed=1)
+        assert all(np.shares_memory(d.inputs, synthetic.inputs) for d in synthetic.per_user)
+        bad = prob.inputs.copy()
+        bad[0, 7, 1] = 1.0
+        with pytest.raises(ValueError):
+            Problem(bad, prob.targets, prob.counts, Ridge(lam=0.2))

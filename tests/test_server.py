@@ -51,8 +51,8 @@ class TestRunRound:
             from byzfl.clients import honest_local_update
 
             single = honest_local_update(
-                prep.problem, 0, prep.w1, 1, prep.schedule, prep.oracle_mode, prep.master_seed
-            )
+                prep.problem, [0], prep.w1, 1, prep.schedule, prep.oracle_mode, prep.master_seed
+            )[0]
             w_next, rec = run_round(prep, prep.w1, 1)
             assert np.array_equal(w_next, single), agg_kind
             assert rec.t == 1
@@ -82,13 +82,10 @@ class TestRunRound:
         from byzfl.clients import honest_local_update
 
         w_t = prep.w1 + 1.0
-        honest_dists = [
-            np.linalg.norm(
-                honest_local_update(prep.problem, m, w_t, 1, prep.schedule, prep.oracle_mode, prep.master_seed)
-                - prep.w_star
-            )
-            for m in prep.honest_ids
-        ]
+        uploads = honest_local_update(
+            prep.problem, prep.honest_ids, w_t, 1, prep.schedule, prep.oracle_mode, prep.master_seed
+        )
+        honest_dists = np.linalg.norm(uploads - prep.w_star, axis=1)
         w_next, _ = run_round(prep, w_t, 1)
         bound = c_beta(0.4) * max(honest_dists)
         assert np.linalg.norm(w_next - prep.w_star) <= bound + 1e-9
