@@ -154,10 +154,14 @@ def honest_local_update(
 def byzantine_message(
     attack: AttackKind,
     w_t: np.ndarray,
-    rng: np.random.Generator,
+    noise: np.ndarray,
     honest_center: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Generate a Byzantine upload of the broadcast's dimension."""
+    """Generate a Byzantine upload of the broadcast's dimension.
+
+    ``noise`` is the client's row of standard normals, of the broadcast's
+    shape; only GaussianNoise reads it.
+    """
     w_t = np.asarray(w_t, dtype=np.float64)
     if isinstance(attack, ZeroVector):
         return np.zeros_like(w_t)
@@ -170,7 +174,7 @@ def byzantine_message(
     center = np.zeros_like(w_t)
     if attack.mean_mode == "honest_center":
         center = np.asarray(honest_center if honest_center is not None else w_t, dtype=np.float64)
-    return center + attack.sigma * rng.standard_normal(w_t.shape[0])
+    return center + attack.sigma * noise
 
 
 def floor_decay_steps(K1: int, E: int) -> Callable[[int], int]:

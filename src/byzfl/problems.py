@@ -257,31 +257,48 @@ def local_loss(problem: Problem, m: int, w) -> float:
 
 
 def global_loss(problem: Problem, w) -> float:
-    """Sample-size-weighted average of the per-user losses."""
-    return float(
-        sum(u * local_loss(problem, m, w) for m, u in enumerate(problem.user_weights))
-    )
+    """Sample-size-weighted average of the per-user losses, in one pass over the stacked data.
+
+    Padded rows are masked out of each user's fit, and the weighted losses
+    are summed sequentially in user order, so on equal sample counts this
+    equals sum(u * local_loss(problem, m, w)) bitwise.
+    """
+    w = _check_w(problem, w)
+    z = np.matmul(problem.inputs, w[:, None])[:, :, 0]
+    if isinstance(problem.loss_kind, Ridge):
+        # Padding rows have zero inputs and targets, so they add zeros.
+        fit = 0.5 * (np.sum((z - problem.targets) ** 2, axis=1) / problem.counts)
+    else:
+        # A padding row would add log 2 to the logistic fit.
+        rows = np.where(problem.padding, 0.0, np.logaddexp(0.0, z) - problem.targets * z)
+        fit = np.sum(rows, axis=1) / problem.counts
+    losses = fit + 0.5 * problem.lam * float(w @ w)
+    return float(np.cumsum(problem.user_weights * losses)[-1])
 
 
 def _fit_grads(kind: LossKind, X: np.ndarray, y: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Rows X'(link(X w) - y), one per row w of W, with X (S, p) shared or stacked (n, S, p).
 
-    Stacked matmuls run one BLAS matrix-vector product per row, so each row
-    equals the unbatched product bitwise, whatever else is in the batch.
+    W may carry extra leading axes that broadcast against X's. Stacked
+    matmuls run one BLAS matrix-vector product per row, so each row equals
+    the unbatched product bitwise, whatever else is in the batch.
     """
-    z = np.matmul(X, W[:, :, None])[:, :, 0]
+    z = np.matmul(X, W[..., None])[..., 0]
     r = z - y if isinstance(kind, Ridge) else _sigmoid(z) - y
-    return np.matmul(np.swapaxes(X, -1, -2), r[:, :, None])[:, :, 0]
+    return np.matmul(np.swapaxes(X, -1, -2), r[..., None])[..., 0]
 
 
 def _global_grads(problem: Problem, W: np.ndarray) -> np.ndarray:
-    """global_gradient at each row of W."""
+    """global_gradient at each row of W.
+
+    Logistic problems evaluate every (row, user) pair in one stacked call
+    and add the users' terms to lam * W sequentially in user order.
+    """
     if isinstance(problem.loss_kind, Ridge):
         return np.matmul(problem._gram_global, W[:, :, None])[:, :, 0] - problem._moment_global + problem.lam * W
-    G = problem.lam * W
-    for u, data in zip(problem.user_weights, problem.per_user):
-        G = G + u * (_fit_grads(problem.loss_kind, data.inputs, data.targets, W) / data.n_samples)
-    return G
+    F = _fit_grads(problem.loss_kind, problem.inputs, problem.targets, W[:, None, :])
+    terms = problem.user_weights[:, None] * (F / problem.counts[:, None])
+    return np.cumsum(np.concatenate([problem.lam * W[:, None, :], terms], axis=1), axis=1)[:, -1]
 
 
 def local_gradient(problem: Problem, m: int, w) -> np.ndarray:
@@ -298,15 +315,7 @@ def local_gradient(problem: Problem, m: int, w) -> np.ndarray:
 
 def global_gradient(problem: Problem, w) -> np.ndarray:
     """Exact gradient of global_loss(problem, .)."""
-    w = _check_w(problem, w)
-    if isinstance(problem.loss_kind, Ridge):
-        return problem._gram_global @ w - problem._moment_global + problem.lam * w
-    g = problem.lam * w
-    for m, u in enumerate(problem.user_weights):
-        data = problem.per_user[m]
-        resid = _sigmoid(data.inputs @ w) - data.targets
-        g = g + u * (data.inputs.T @ resid / data.n_samples)
-    return g
+    return _global_grads(problem, _check_w(problem, w)[None])[0]
 
 
 def local_stoch_grad(
@@ -418,6 +427,7 @@ def constants(problem: Problem, oracle_mode: GradOracleMode | None = None) -> Sm
 
 def optimum(
     problem: Problem,
+    consts: SmoothnessConstants | None = None,
     grad_tol: float = 1e-10,
     max_iters: int = 500_000,
 ) -> tuple[np.ndarray, float]:
@@ -426,6 +436,7 @@ def optimum(
     Ridge: direct solve of the normal equations with iterative refinement to
     residual <= 1e-12 * ||b||. Logistic: full-gradient descent (step
     2/(mu+L)) to gradient norm <= grad_tol; an oracle, not a closed form.
+    ``consts`` are the problem's constants(), computed here when not given.
     Raises RuntimeError with the residual if the solve does not converge.
     """
     if isinstance(problem.loss_kind, Ridge):
@@ -445,7 +456,8 @@ def optimum(
             )
         return w, global_loss(problem, w)
 
-    consts = constants(problem)
+    if consts is None:
+        consts = constants(problem)
     step = 2.0 / (consts.mu + consts.L_const)
     w = np.zeros(problem.dim)
     for _ in range(max_iters):

@@ -7,9 +7,9 @@ one TraceRecord per round, carrying the measured optimality gap next to the
 theory envelopes so runs can be checked against the guarantees.
 
 All honest clients of a round run their local SGD as one batched update;
-Byzantine uploads are generated per client from streams keyed by (round,
-client). Uploads are assembled in client-id order, so traces do not depend
-on the order client specs are listed in.
+Byzantine uploads take their noise from one block per round, keyed by
+(round), with a fixed row per client id. Uploads are assembled in client-id
+order, so traces do not depend on the order client specs are listed in.
 """
 
 import time
@@ -287,7 +287,7 @@ def prepare(config: ExperimentConfig) -> PreparedExperiment:
 
     oracle_mode = _build_oracle(config.oracle)
     consts = constants(problem, oracle_mode)
-    w_star, f_star = optimum(problem)
+    w_star, f_star = optimum(problem, consts)
 
     if config.init.kind == "zeros":
         w1 = np.zeros(problem.dim)
@@ -365,10 +365,11 @@ def run_round(prep: PreparedExperiment, w_t: np.ndarray, t: int) -> tuple[np.nda
     Z[honest] = honest_local_update(
         prep.problem, [specs[i].m for i in honest], w_t, t, prep.schedule, prep.oracle_mode, prep.master_seed
     )
-    for i, s in enumerate(specs):
-        if not s.honest:
-            rng = substream(prep.master_seed, "attack", t, s.m)
-            Z[i] = byzantine_message(s.attack, w_t, rng, honest_center=w_t)
+    if len(honest) < len(specs):
+        noise = substream(prep.master_seed, "attack", t).standard_normal((prep.M, w_t.shape[0]))
+        for i, s in enumerate(specs):
+            if not s.honest:
+                Z[i] = byzantine_message(s.attack, w_t, noise[s.m], honest_center=w_t)
 
     # Drop Byzantine uploads whose squared norm overflows (no distance to them
     # is representable); the rest stay under half corrupted. Honest ones mean

@@ -178,19 +178,19 @@ class TestHonestLocalUpdate:
 
 class TestByzantineMessage:
     def test_zero_vector(self):
-        out = byzantine_message(ZeroVector(), np.ones(3), substream(0, "a"))
+        out = byzantine_message(ZeroVector(), np.ones(3), np.ones(3))
         assert np.array_equal(out, np.zeros(3))
 
     def test_fixed_vector(self):
-        out = byzantine_message(FixedVector(v=[7.0, -7.0]), np.ones(2), substream(0, "a"))
+        out = byzantine_message(FixedVector(v=[7.0, -7.0]), np.ones(2), np.ones(2))
         assert np.array_equal(out, [7.0, -7.0])
 
     def test_fixed_vector_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            byzantine_message(FixedVector(v=[1.0]), np.ones(2), substream(0, "a"))
+            byzantine_message(FixedVector(v=[1.0]), np.ones(2), np.ones(2))
 
     def test_sign_flip(self):
-        out = byzantine_message(SignFlip(scale=2.0), np.array([1.0, -3.0]), substream(0, "a"))
+        out = byzantine_message(SignFlip(scale=2.0), np.array([1.0, -3.0]), np.ones(2))
         assert np.array_equal(out, [-2.0, 6.0])
 
     def test_gaussian_moments(self):
@@ -199,7 +199,7 @@ class TestByzantineMessage:
         draws = np.empty((n, p))
         attack = GaussianNoise(sigma=1.0, mean_mode="zero")
         for i in range(n):
-            draws[i] = byzantine_message(attack, np.zeros(p), rng)
+            draws[i] = byzantine_message(attack, np.zeros(p), rng.standard_normal(p))
         assert np.all(np.abs(draws.mean(axis=0)) <= 0.01)
         assert np.all(np.abs(draws.var(axis=0) - 1.0) <= 0.03)
 
@@ -208,7 +208,7 @@ class TestByzantineMessage:
         center = np.array([5.0, -5.0])
         attack = GaussianNoise(sigma=0.1, mean_mode="honest_center")
         draws = np.stack(
-            [byzantine_message(attack, np.zeros(2), rng, honest_center=center) for _ in range(2000)]
+            [byzantine_message(attack, np.zeros(2), rng.standard_normal(2), honest_center=center) for _ in range(2000)]
         )
         assert np.all(np.abs(draws.mean(axis=0) - center) <= 0.02)
 

@@ -19,6 +19,7 @@ from byzfl.problems import (
     optimum,
     problem_from_csv,
 )
+from byzfl.problems import _sigmoid
 from byzfl.problems import test_accuracy as held_out_accuracy
 from byzfl.rng import substream
 
@@ -68,6 +69,28 @@ class TestLosses:
             d *= 0.1 / np.linalg.norm(d)
             assert global_loss(prob, w_star + d) > f_star
 
+    @pytest.mark.parametrize("kind", [Ridge(lam=0.3), Logistic(lam=0.3)])
+    def test_global_loss_is_the_weighted_local_loop(self, kind):
+        prob = make_synthetic(p=6, M=13, S_per_user=37, seed=5, heterogeneity=0.6, loss_kind=kind)
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            w = rng.standard_normal(6) * 10.0 ** rng.uniform(-3, 2)
+            loop = float(sum(u * local_loss(prob, m, w) for m, u in enumerate(prob.user_weights)))
+            assert global_loss(prob, w) == loop
+
+    def test_global_loss_ignores_padding(self):
+        # Zero-padded logistic rows would each add log 2 to their user's fit.
+        rng = np.random.default_rng(6)
+        users = [
+            Dataset(inputs=rng.standard_normal((s, 3)), targets=(rng.random(s) < 0.5).astype(float))
+            for s in (3, 9, 5)
+        ]
+        prob = Problem.from_datasets(users, Logistic(lam=0.2))
+        for _ in range(50):
+            w = rng.standard_normal(3) * 3.0
+            loop = float(sum(u * local_loss(prob, m, w) for m, u in enumerate(prob.user_weights)))
+            assert abs(global_loss(prob, w) - loop) <= 1e-12 * abs(loop)
+
     def test_bad_user_index(self):
         prob = make_synthetic(p=2, M=2, S_per_user=5, seed=3)
         with pytest.raises(ValueError):
@@ -98,6 +121,18 @@ class TestGradients:
             g = global_gradient(prob, w)
             for m in range(4):
                 assert np.allclose(local_gradient(prob, m, w), g, rtol=0, atol=1e-14)
+
+    def test_logistic_global_gradient_is_the_weighted_local_loop(self):
+        prob = make_synthetic(p=5, M=11, S_per_user=23, seed=3, heterogeneity=0.8, loss_kind=Logistic(lam=0.2))
+        rng = np.random.default_rng(3)
+        W = rng.standard_normal((4, 5))
+        batch = local_stoch_grad(prob, [0] * 4, W, RelativeNoise(delta=0.0), substream(0, "grad"))
+        for w, row in zip(W, batch):
+            loop = prob.lam * w
+            for u, d in zip(prob.user_weights, prob.per_user):
+                loop = loop + u * (d.inputs.T @ (_sigmoid(d.inputs @ w) - d.targets) / d.n_samples)
+            assert np.array_equal(global_gradient(prob, w), loop)
+            assert np.array_equal(row, loop)
 
     def test_heterogeneous_users_differ(self):
         prob = make_synthetic(p=4, M=2, S_per_user=6, seed=9, heterogeneity=1.0)

@@ -10,7 +10,9 @@ from byzfl.config import (
     ScheduleSpec,
     SyntheticProblemSpec,
 )
+from byzfl import server
 from byzfl.problems import global_gradient
+from byzfl.rng import substream
 from byzfl.server import (
     CoordinateMedianAgg,
     GeometricMedianAgg,
@@ -104,6 +106,32 @@ class TestRunRound:
         records = run_prepared(prep)
         assert all(r.theorem1_bound is None for r in records)
         assert all(r.theorem2_bound > 0 for r in records)
+
+
+class TestByzantineKeying:
+    def test_gaussian_upload_is_its_row_of_the_round_block(self, monkeypatch):
+        uploads = []
+        real_aggregate = server.aggregate
+
+        def recording_aggregate(agg, Z):
+            uploads.append(Z.copy())
+            return real_aggregate(agg, Z)
+
+        monkeypatch.setattr(server, "aggregate", recording_aggregate)
+        M, p, t = 8, 4, 3
+        w = np.arange(p, dtype=np.float64)
+        rows = 10.0 * substream(42, "attack", t).standard_normal((M, p))
+        for mode, center in (("zero", np.zeros(p)), ("honest_center", w)):
+            last_client = []
+            for B in (1, 2, 3):
+                attack = AttackSpec(kind="gaussian", sigma=10.0, mean_mode=mode)
+                run_round(prepare(small_config(n_byzantine=B, attack=attack)), w, t)
+                Z = uploads.pop()
+                for m in range(M - B, M):
+                    assert np.array_equal(Z[m], center + rows[m])
+                last_client.append(Z[M - 1])
+            # Client M-1 stays Byzantine as B grows, and its upload does not move.
+            assert all(np.array_equal(z, last_client[0]) for z in last_client)
 
 
 class TestRunExperiment:
