@@ -3,7 +3,6 @@
 from .aggregation import (
     AggregateResult,
     RobustnessCert,
-    WeiszfeldConfig,
     ball_robustness_check,
     coordinate_median,
     geomed_objective,
@@ -11,24 +10,12 @@ from .aggregation import (
     mean,
     trimmed_mean,
 )
-from .clients import (
-    ClientSpec,
-    FixedVector,
-    GaussianNoise,
-    Schedule,
-    SignFlip,
-    ZeroVector,
-    byzantine_message,
-    honest_local_update,
-)
-from .config import ConfigError, ExperimentConfig, load_config
+from .clients import Schedule, byzantine_message, honest_local_update
+from .config import AggregatorSpec, AttackSpec, ConfigError, ExperimentConfig, OracleSpec, load_config
 from .problems import (
     Dataset,
-    FullGradient,
     Logistic,
-    Minibatch,
     Problem,
-    RelativeNoise,
     Ridge,
     SmoothnessConstants,
     constants,
@@ -43,17 +30,7 @@ from .problems import (
     test_accuracy,
 )
 from .rng import substream
-from .server import (
-    CoordinateMedianAgg,
-    GeometricMedianAgg,
-    MeanAgg,
-    TraceRecord,
-    TrimmedMeanAgg,
-    prepare,
-    run_experiment,
-    run_prepared,
-    run_round,
-)
+from .server import TraceRecord, prepare, run_experiment, run_prepared, run_round
 from .theory import (
     BoundSeries,
     TheoryParams,

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import AggregatorSpec
+
 __all__ = [
-    "WeiszfeldConfig",
     "AggregateResult",
     "RobustnessCert",
     "geomed_objective",
@@ -26,29 +27,6 @@ __all__ = [
     "trimmed_mean",
     "ball_robustness_check",
 ]
-
-
-@dataclass(frozen=True)
-class WeiszfeldConfig:
-    """Stopping and smoothing knobs for the Weiszfeld iteration.
-
-    tol bounds both the iterate displacement and the smoothed-subgradient
-    norm at exit; smoothing is a floor on per-point distances, relative to
-    the spread of the inputs, that keeps the inverse-distance weights finite
-    when the iterate lands on a data point.
-    """
-
-    tol: float = 1e-10
-    max_iters: int = 1000
-    smoothing: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.smoothing < 0:
-            raise ValueError(f"smoothing must be nonnegative, got {self.smoothing}")
 
 
 @dataclass(frozen=True)
@@ -149,7 +127,7 @@ def _subgradient_excess(diffs: np.ndarray, dists: np.ndarray, floor: float) -> f
     return float(np.linalg.norm(g) - int(on_point.sum()))
 
 
-def geometric_median(points, cfg: WeiszfeldConfig | None = None) -> AggregateResult:
+def geometric_median(points, spec: AggregatorSpec | None = None) -> AggregateResult:
     """Geometric median via smoothed Weiszfeld iteration.
 
     A point shared bitwise by strictly more than half the rows is returned
@@ -168,10 +146,11 @@ def geometric_median(points, cfg: WeiszfeldConfig | None = None) -> AggregateRes
     ``smoothing * spread`` (spread = largest distance from the initial mean
     to a point). Stops when both the iterate displacement and the smoothed
     subgradient norm (``residual``) drop to ``tol``, or at ``max_iters``
-    with ``converged=False``.
+    with ``converged=False``. ``tol``, ``smoothing`` and ``max_iters`` come
+    from ``spec`` (default ``AggregatorSpec()``); its kind is not read.
     """
     pts = _as_matrix(points)
-    cfg = cfg if cfg is not None else WeiszfeldConfig()
+    spec = spec if spec is not None else AggregatorSpec()
 
     maj = _majority_point(pts)
     if maj is not None:
@@ -190,7 +169,7 @@ def geometric_median(points, cfg: WeiszfeldConfig | None = None) -> AggregateRes
     x = pts.mean(axis=0)
     diffs = x - pts
     dists = np.linalg.norm(diffs, axis=1)
-    floor = max(cfg.smoothing * float(dists.max()), np.finfo(np.float64).tiny)
+    floor = max(spec.smoothing * float(dists.max()), np.finfo(np.float64).tiny)
 
     iterations = 0
     converged = False
@@ -203,12 +182,12 @@ def geometric_median(points, cfg: WeiszfeldConfig | None = None) -> AggregateRes
     # would otherwise be selection-dependent). Vertex optimality is a static
     # property, so failed vertices are cached.
     rejected_vertices: set[int] = set()
-    for iterations in range(1, cfg.max_iters + 1):
+    for iterations in range(1, spec.max_iters + 1):
         j = int(np.argmin(dists))
         if j not in rejected_vertices:
             to_vertex = pts[j] - pts
             vertex_dists = np.linalg.norm(to_vertex, axis=1)
-            if _subgradient_excess(to_vertex, vertex_dists, 0.0) <= -cfg.tol:
+            if _subgradient_excess(to_vertex, vertex_dists, 0.0) <= -spec.tol:
                 return AggregateResult(
                     value=original[j].copy(),
                     iterations=iterations,
@@ -223,7 +202,7 @@ def geometric_median(points, cfg: WeiszfeldConfig | None = None) -> AggregateRes
         x = x_next
         diffs = x - pts
         dists = np.linalg.norm(diffs, axis=1)
-        if displacement <= cfg.tol and _subgradient_excess(diffs, dists, floor) <= cfg.tol:
+        if displacement <= spec.tol and _subgradient_excess(diffs, dists, floor) <= spec.tol:
             converged = True
             break
 
@@ -263,7 +242,7 @@ def ball_robustness_check(
     center,
     radius: float,
     q: int,
-    cfg: WeiszfeldConfig | None = None,
+    spec: AggregatorSpec | None = None,
 ) -> bool:
     """Check the deterministic ball guarantee of the geometric median.
 
@@ -284,5 +263,5 @@ def ball_robustness_check(
             f"precondition violated: only {inside} of {cert.n} points lie within "
             f"radius {radius} of the center (need {cert.n - cert.q})"
         )
-    result = geometric_median(pts, cfg)
+    result = geometric_median(pts, spec)
     return float(np.linalg.norm(result.value - center)) <= cert.c_alpha * radius

@@ -5,8 +5,8 @@ rates eta(t, m, k), all of them together: step k is one batched gradient
 evaluation over the honest clients. Its random draws come from one stream
 keyed by (round, step) that holds a fixed row per client id, so a client's
 upload does not depend on which other clients share the batch or on their
-order. Byzantine clients ignore schedules and data entirely and emit a
-vector chosen by their attack kind.
+order. Byzantine clients ignore schedules and data entirely and emit the
+vector their ``AttackSpec`` describes.
 """
 
 from dataclasses import dataclass
@@ -14,17 +14,12 @@ from typing import Callable
 
 import numpy as np
 
-from .problems import FullGradient, GradOracleMode, Problem, local_stoch_grad
+from .config import AttackSpec, OracleSpec
+from .problems import Problem, local_stoch_grad
 from .rng import substream
 
 __all__ = [
     "Schedule",
-    "ClientSpec",
-    "GaussianNoise",
-    "SignFlip",
-    "ZeroVector",
-    "FixedVector",
-    "AttackKind",
     "honest_local_update",
     "byzantine_message",
     "floor_decay_steps",
@@ -61,72 +56,13 @@ class Schedule:
         return self.uniform_K is not None and self.uniform_eta is not None
 
 
-@dataclass(frozen=True)
-class GaussianNoise:
-    """Message = mean + isotropic Gaussian with per-coordinate std sigma.
-
-    mean_mode 'zero' centers at the origin; 'honest_center' centers at the
-    attacker's estimate of the honest update (the current broadcast).
-    """
-
-    sigma: float
-    mean_mode: str = "zero"
-
-    def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
-        if self.mean_mode not in ("zero", "honest_center"):
-            raise ValueError(f"mean_mode must be 'zero' or 'honest_center', got {self.mean_mode!r}")
-
-
-@dataclass(frozen=True)
-class SignFlip:
-    """Message = -scale * broadcast iterate."""
-
-    scale: float = 1.0
-
-
-@dataclass(frozen=True)
-class ZeroVector:
-    """Message = all-zeros."""
-
-
-@dataclass(frozen=True)
-class FixedVector:
-    """Message = a constant vector, independent of everything."""
-
-    v: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=np.float64))
-        if self.v.ndim != 1:
-            raise ValueError(f"fixed vector must be 1-D, got shape {self.v.shape}")
-        if not np.all(np.isfinite(self.v)):
-            raise ValueError("fixed vector must be finite")
-
-
-AttackKind = GaussianNoise | SignFlip | ZeroVector | FixedVector
-
-
-@dataclass(frozen=True)
-class ClientSpec:
-    """Client identity plus behavior: honest when attack is None."""
-
-    m: int
-    attack: AttackKind | None = None
-
-    @property
-    def honest(self) -> bool:
-        return self.attack is None
-
-
 def honest_local_update(
     problem: Problem,
     ids,
     w_t: np.ndarray,
     t: int,
     schedule: Schedule,
-    oracle_mode: GradOracleMode,
+    oracle: OracleSpec,
     master_seed: int,
 ) -> np.ndarray:
     """Run K^t local SGD steps from w_t for clients ``ids``; row i is client ids[i]'s upload.
@@ -140,19 +76,19 @@ def honest_local_update(
     K = schedule.steps(t)
     if K < 0:
         raise ValueError(f"steps({t}) must be nonnegative, got {K}")
-    needs_rng = not isinstance(oracle_mode, FullGradient)
+    needs_rng = oracle.kind != "full"
     for k in range(1, K + 1):
         eta = np.array([schedule.rate(t, m, k) for m in ids], dtype=np.float64)
         bad = eta <= 0
         if bad.any():
             raise ValueError(f"rate({t}, {ids[bad][0]}, {k}) must be positive, got {eta[bad][0]}")
         rng = substream(master_seed, "grad", t, k) if needs_rng else None
-        W -= eta[:, None] * local_stoch_grad(problem, ids, W, oracle_mode, rng)
+        W -= eta[:, None] * local_stoch_grad(problem, ids, W, oracle, rng)
     return W
 
 
 def byzantine_message(
-    attack: AttackKind,
+    attack: AttackSpec,
     w_t: np.ndarray,
     noise: np.ndarray,
     honest_center: np.ndarray | None = None,
@@ -160,16 +96,18 @@ def byzantine_message(
     """Generate a Byzantine upload of the broadcast's dimension.
 
     ``noise`` is the client's row of standard normals, of the broadcast's
-    shape; only GaussianNoise reads it.
+    shape; only the gaussian attack reads it, and its 'honest_center' mode
+    centers at ``honest_center`` (the broadcast when not given).
     """
     w_t = np.asarray(w_t, dtype=np.float64)
-    if isinstance(attack, ZeroVector):
+    if attack.kind == "zero":
         return np.zeros_like(w_t)
-    if isinstance(attack, FixedVector):
-        if attack.v.shape != w_t.shape:
-            raise ValueError(f"fixed vector shape {attack.v.shape} != parameter shape {w_t.shape}")
-        return attack.v.copy()
-    if isinstance(attack, SignFlip):
+    if attack.kind == "fixed":
+        v = np.array(attack.vector, dtype=np.float64)
+        if v.shape != w_t.shape:
+            raise ValueError(f"fixed vector shape {v.shape} != parameter shape {w_t.shape}")
+        return v
+    if attack.kind == "sign_flip":
         return -attack.scale * w_t
     center = np.zeros_like(w_t)
     if attack.mean_mode == "honest_center":

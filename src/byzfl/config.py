@@ -8,6 +8,7 @@ is prepared; the resolved config round-trips losslessly.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -106,6 +107,16 @@ def _problem_from_dict(d: dict) -> "SyntheticProblemSpec | CsvProblemSpec":
 
 @dataclass(frozen=True)
 class AttackSpec:
+    """What every Byzantine client uploads each round.
+
+    gaussian:  mean + sigma * standard normal per coordinate; mean_mode
+               'zero' centers at the origin, 'honest_center' at the
+               attacker's estimate of the honest update (the broadcast).
+    sign_flip: -scale * broadcast.
+    zero:      the all-zeros vector.
+    fixed:     the constant ``vector`` (length p, checked by prepare).
+    """
+
     kind: str = "gaussian"
     sigma: float = 10.0
     mean_mode: str = "zero"
@@ -115,10 +126,16 @@ class AttackSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("gaussian", "sign_flip", "zero", "fixed"):
             raise ConfigError(f"attack.kind must be gaussian|sign_flip|zero|fixed, got {self.kind!r}")
+        if self.sigma < 0:
+            raise ConfigError(f"attack.sigma must be nonnegative, got {self.sigma}")
+        if self.mean_mode not in ("zero", "honest_center"):
+            raise ConfigError(f"attack.mean_mode must be 'zero' or 'honest_center', got {self.mean_mode!r}")
         if self.kind == "fixed" and self.vector is None:
             raise ConfigError("attack.kind 'fixed' requires attack.vector")
         if self.vector is not None:
             object.__setattr__(self, "vector", tuple(float(v) for v in self.vector))
+            if not all(math.isfinite(v) for v in self.vector):
+                raise ConfigError(f"attack.vector must be finite, got {list(self.vector)}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "AttackSpec":
@@ -128,6 +145,16 @@ class AttackSpec:
 
 @dataclass(frozen=True)
 class AggregatorSpec:
+    """How the server combines the uploads.
+
+    geomed reads the Weiszfeld knobs: tol bounds both the iterate
+    displacement and the smoothed-subgradient norm at exit; smoothing is a
+    floor on per-point distances, relative to the spread of the inputs, that
+    keeps the inverse-distance weights finite when the iterate lands on a
+    data point. trimmed_mean reads trim_fraction, the share dropped from
+    each tail.
+    """
+
     kind: str = "geomed"
     tol: float = 1e-10
     max_iters: int = 1000
@@ -139,6 +166,14 @@ class AggregatorSpec:
             raise ConfigError(
                 f"aggregator.kind must be geomed|mean|coordinate_median|trimmed_mean, got {self.kind!r}"
             )
+        if self.tol <= 0:
+            raise ConfigError(f"aggregator.tol must be positive, got {self.tol}")
+        if self.max_iters < 1:
+            raise ConfigError(f"aggregator.max_iters must be >= 1, got {self.max_iters}")
+        if self.smoothing < 0:
+            raise ConfigError(f"aggregator.smoothing must be nonnegative, got {self.smoothing}")
+        if not 0.0 <= self.trim_fraction < 0.5:
+            raise ConfigError(f"aggregator.trim_fraction must lie in [0, 0.5), got {self.trim_fraction}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "AggregatorSpec":
@@ -204,6 +239,19 @@ class ScheduleSpec:
 
 @dataclass(frozen=True)
 class OracleSpec:
+    """The stochastic gradient each honest local step uses.
+
+    full:           the exact local gradient.
+    minibatch:      the gradient over a uniform without-replacement subset
+                    of batch_size of the user's samples (at most the smallest
+                    user's count, checked by prepare). Its noise does not
+                    vanish with the gradient, so it breaks the
+                    bounded-relative-variance assumption; traces flag it.
+    relative_noise: the global gradient plus noise of norm exactly
+                    delta * ||grad||, uniform in direction: unbiased, with
+                    squared noise-to-gradient ratio exactly delta^2.
+    """
+
     kind: str = "full"
     batch_size: int = 32
     delta: float = 0.0

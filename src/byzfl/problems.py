@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import OracleSpec
 from .rng import substream
 
 __all__ = [
@@ -20,9 +21,6 @@ __all__ = [
     "Logistic",
     "Dataset",
     "Problem",
-    "FullGradient",
-    "Minibatch",
-    "RelativeNoise",
     "SmoothnessConstants",
     "make_synthetic",
     "problem_from_csv",
@@ -179,45 +177,6 @@ class Problem:
 
 
 @dataclass(frozen=True)
-class FullGradient:
-    """Exact local gradient."""
-
-
-@dataclass(frozen=True)
-class Minibatch:
-    """Gradient over a uniform without-replacement subset of the user's samples.
-
-    Does not satisfy the bounded-relative-variance assumption near the
-    optimum (the noise does not vanish with the gradient); runs using it are
-    flagged accordingly in traces.
-    """
-
-    batch_size: int
-
-    def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-
-
-@dataclass(frozen=True)
-class RelativeNoise:
-    """Global gradient plus noise of norm exactly delta * ||grad||.
-
-    The noise direction is uniform on the unit sphere, so the draw is
-    unbiased and the squared noise-to-gradient ratio equals delta^2 exactly.
-    """
-
-    delta: float
-
-    def __post_init__(self) -> None:
-        if self.delta < 0:
-            raise ValueError(f"delta must be nonnegative, got {self.delta}")
-
-
-GradOracleMode = FullGradient | Minibatch | RelativeNoise
-
-
-@dataclass(frozen=True)
 class SmoothnessConstants:
     mu: float
     L_const: float
@@ -322,12 +281,12 @@ def local_stoch_grad(
     problem: Problem,
     ids,
     W,
-    mode: GradOracleMode,
+    oracle: OracleSpec,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Stochastic gradients of a batch of users: row i is user ids[i]'s at W[i].
 
-    FullGradient ignores rng. The other modes draw one block from it with a
+    The full oracle ignores rng. The others draw one block from it with a
     row per user 0..M-1 and keep the rows of ``ids``, so a user's draw, like
     its gradient, does not depend on which users share the batch; callers
     key the generator by (round, step).
@@ -339,15 +298,15 @@ def local_stoch_grad(
     if np.any((ids < 0) | (ids >= problem.n_users)):
         raise ValueError(f"user ids must lie in [0, {problem.n_users})")
     kind, lam = problem.loss_kind, problem.lam
-    if isinstance(mode, FullGradient):
+    if oracle.kind == "full":
         if isinstance(kind, Ridge):
             return np.matmul(problem.grams[ids], W[:, :, None])[:, :, 0] - problem.moments[ids] + lam * W
         fit = _fit_grads(kind, problem.inputs[ids], problem.targets[ids], W)
         return fit / problem.counts[ids, None] + lam * W
     if rng is None:
-        raise ValueError(f"{type(mode).__name__} oracle needs a random generator")
-    if isinstance(mode, Minibatch):
-        b = mode.batch_size
+        raise ValueError(f"{oracle.kind} oracle needs a random generator")
+    if oracle.kind == "minibatch":
+        b = oracle.batch_size
         short = ids[problem.counts[ids] < b]
         if short.size:
             m = short[0]
@@ -360,13 +319,13 @@ def local_stoch_grad(
         flat = ids[:, None] * S_max + np.argpartition(keys[ids], b - 1, axis=1)[:, :b]
         X = problem.inputs.reshape(-1, problem.dim).take(flat, axis=0)
         return _fit_grads(kind, X, problem.targets.take(flat), W) / b + lam * W
-    # RelativeNoise: perturb the global gradient along a uniform unit direction.
+    # relative_noise: perturb the global gradient along a uniform unit direction.
     G = _global_grads(problem, W)
-    if mode.delta == 0.0:
+    if oracle.delta == 0.0:
         return G
     D = rng.standard_normal((problem.n_users, problem.dim))[ids]
     D /= np.linalg.norm(D, axis=1, keepdims=True)
-    return G + mode.delta * np.linalg.norm(G, axis=1, keepdims=True) * D
+    return G + oracle.delta * np.linalg.norm(G, axis=1, keepdims=True) * D
 
 
 def _lambda_max(H: np.ndarray, rtol: float = 1e-12, max_iters: int = 200_000) -> float:
@@ -405,16 +364,16 @@ def _lambda_min(H: np.ndarray, rtol: float = 1e-12, max_iters: int = 200_000) ->
     return float(v @ (H @ v))
 
 
-def constants(problem: Problem, oracle_mode: GradOracleMode | None = None) -> SmoothnessConstants:
+def constants(problem: Problem, oracle: OracleSpec | None = None) -> SmoothnessConstants:
     """Certified (mu, L) for the global loss, plus the oracle's delta.
 
     Ridge: extreme eigenvalues of the regularized Hessian, each from a
     dedicated power / inverse-power iteration. Logistic: L from the 1/4
     curvature cap of the sigmoid plus lam, and the conservative mu = lam.
-    delta echoes the oracle's configured level (0 for full gradients; 0 for
-    minibatch, whose noise is not relatively bounded - see Minibatch).
+    delta echoes a relative_noise oracle's level and is 0 otherwise (for
+    minibatch too, whose noise is not relatively bounded - see OracleSpec).
     """
-    delta = oracle_mode.delta if isinstance(oracle_mode, RelativeNoise) else 0.0
+    delta = oracle.delta if oracle is not None and oracle.kind == "relative_noise" else 0.0
     if isinstance(problem.loss_kind, Ridge):
         H = problem._gram_global + problem.lam * np.eye(problem.dim)
         L = _lambda_max(H)

@@ -6,47 +6,39 @@ replaced); ``run_round``/``run_experiment`` execute the protocol and emit
 one TraceRecord per round, carrying the measured optimality gap next to the
 theory envelopes so runs can be checked against the guarantees.
 
-All honest clients of a round run their local SGD as one batched update;
-Byzantine uploads take their noise from one block per round, keyed by
-(round), with a fixed row per client id. Uploads are assembled in client-id
-order, so traces do not depend on the order client specs are listed in.
+Clients 0..M-B-1 are honest and M-B..M-1 Byzantine; row m of a round's
+upload matrix is client m's upload. All honest clients of a round run their
+local SGD as one batched update; Byzantine uploads take their noise from
+one block per round, keyed by (round), with a fixed row per client id.
 """
 
 import time
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import theory
-from .aggregation import (
-    WeiszfeldConfig,
-    coordinate_median,
-    geometric_median,
-    mean,
-    trimmed_mean,
-)
+from .aggregation import coordinate_median, geometric_median, mean, trimmed_mean
 from .clients import (
-    AttackKind,
-    ClientSpec,
-    FixedVector,
-    GaussianNoise,
     Schedule,
-    SignFlip,
-    ZeroVector,
     byzantine_message,
     floor_decay_steps,
     honest_local_update,
     linear_decay_steps,
 )
-from .config import ConfigError, CsvProblemSpec, ExperimentConfig, ScheduleSpec
+from .config import (
+    AggregatorSpec,
+    AttackSpec,
+    ConfigError,
+    CsvProblemSpec,
+    ExperimentConfig,
+    OracleSpec,
+    ScheduleSpec,
+)
 from .problems import (
-    FullGradient,
-    GradOracleMode,
     Logistic,
-    Minibatch,
     Problem,
-    RelativeNoise,
     Ridge,
     SmoothnessConstants,
     constants,
@@ -59,11 +51,6 @@ from .problems import (
 from .rng import substream
 
 __all__ = [
-    "GeometricMedianAgg",
-    "MeanAgg",
-    "CoordinateMedianAgg",
-    "TrimmedMeanAgg",
-    "Aggregator",
     "aggregate",
     "TraceRecord",
     "PreparedExperiment",
@@ -74,39 +61,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GeometricMedianAgg:
-    cfg: WeiszfeldConfig = field(default_factory=WeiszfeldConfig)
-
-
-@dataclass(frozen=True)
-class MeanAgg:
-    pass
-
-
-@dataclass(frozen=True)
-class CoordinateMedianAgg:
-    pass
-
-
-@dataclass(frozen=True)
-class TrimmedMeanAgg:
-    trim_fraction: float = 0.1
-
-
-Aggregator = GeometricMedianAgg | MeanAgg | CoordinateMedianAgg | TrimmedMeanAgg
-
-
-def aggregate(agg: Aggregator, uploads: np.ndarray) -> tuple[np.ndarray, int, float, bool]:
+def aggregate(spec: AggregatorSpec, uploads: np.ndarray) -> tuple[np.ndarray, int, float, bool]:
     """Combine uploads; returns (value, iterations, residual, converged)."""
-    if isinstance(agg, GeometricMedianAgg):
-        res = geometric_median(uploads, agg.cfg)
+    if spec.kind == "geomed":
+        res = geometric_median(uploads, spec)
         return res.value, res.iterations, res.residual, res.converged
-    if isinstance(agg, MeanAgg):
+    if spec.kind == "mean":
         return mean(uploads), 0, 0.0, True
-    if isinstance(agg, CoordinateMedianAgg):
+    if spec.kind == "coordinate_median":
         return coordinate_median(uploads), 0, 0.0, True
-    return trimmed_mean(uploads, agg.trim_fraction), 0, 0.0, True
+    return trimmed_mean(uploads, spec.trim_fraction), 0, 0.0, True
 
 
 @dataclass(frozen=True)
@@ -135,7 +99,7 @@ class TraceRecord:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "wall_time_s"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreparedExperiment:
     """Everything needed to run rounds, with all 'auto' values resolved."""
 
@@ -145,52 +109,18 @@ class PreparedExperiment:
     f_star: float
     w1: np.ndarray
     schedule: Schedule
-    client_specs: tuple[ClientSpec, ...]
-    aggregator: Aggregator
-    oracle_mode: GradOracleMode
+    attack: AttackSpec
+    aggregator: AggregatorSpec
+    oracle: OracleSpec
     rounds: int
     master_seed: int
     resolved: dict
     theory1: theory.TheoryParams | None
-    honest_ids: tuple[int, ...]
+    honest_ids: range
     M: int
     B: int
     w1_gap_sq: float
     assumption_violating: bool
-    theorem2_cum: float = 1.0
-
-
-def _build_attack(spec, p: int) -> AttackKind:
-    if spec.kind == "gaussian":
-        return GaussianNoise(sigma=spec.sigma, mean_mode=spec.mean_mode)
-    if spec.kind == "sign_flip":
-        return SignFlip(scale=spec.scale)
-    if spec.kind == "zero":
-        return ZeroVector()
-    v = np.asarray(spec.vector, dtype=np.float64)
-    if v.shape != (p,):
-        raise ConfigError(f"attack.vector has dimension {v.shape[0]}, problem has p={p}")
-    return FixedVector(v=v)
-
-
-def _build_aggregator(spec) -> Aggregator:
-    if spec.kind == "geomed":
-        return GeometricMedianAgg(
-            cfg=WeiszfeldConfig(tol=spec.tol, max_iters=spec.max_iters, smoothing=spec.smoothing)
-        )
-    if spec.kind == "mean":
-        return MeanAgg()
-    if spec.kind == "coordinate_median":
-        return CoordinateMedianAgg()
-    return TrimmedMeanAgg(trim_fraction=spec.trim_fraction)
-
-
-def _build_oracle(spec) -> GradOracleMode:
-    if spec.kind == "full":
-        return FullGradient()
-    if spec.kind == "minibatch":
-        return Minibatch(batch_size=spec.batch_size)
-    return RelativeNoise(delta=spec.delta)
 
 
 def _resolve_schedule(
@@ -259,11 +189,6 @@ def prepare(config: ExperimentConfig) -> PreparedExperiment:
     """Build the problem, certify constants, and resolve every 'auto' field."""
     M = config.problem.n_users
     B = config.n_byzantine
-    if 2 * B >= M and not config.override_half_plus:
-        raise ConfigError(
-            f"configuration violates B < M/2 (B={B}, M={M}); "
-            "set override_half_plus to run anyway (robustness guarantees void)"
-        )
 
     kind = Ridge(config.problem.reg) if config.problem.loss == "ridge" else Logistic(config.problem.reg)
     if isinstance(config.problem, CsvProblemSpec):
@@ -284,9 +209,15 @@ def prepare(config: ExperimentConfig) -> PreparedExperiment:
             RuntimeWarning,
             stacklevel=2,
         )
+    if config.oracle.kind == "minibatch" and config.oracle.batch_size > problem.counts.min():
+        raise ConfigError(
+            f"oracle.batch_size={config.oracle.batch_size} exceeds the smallest user's "
+            f"{problem.counts.min()} samples"
+        )
+    if config.attack.kind == "fixed" and len(config.attack.vector) != problem.dim:
+        raise ConfigError(f"attack.vector has dimension {len(config.attack.vector)}, problem has p={problem.dim}")
 
-    oracle_mode = _build_oracle(config.oracle)
-    consts = constants(problem, oracle_mode)
+    consts = constants(problem, config.oracle)
     w_star, f_star = optimum(problem, consts)
 
     if config.init.kind == "zeros":
@@ -296,13 +227,6 @@ def prepare(config: ExperimentConfig) -> PreparedExperiment:
     w1_gap_sq = float(np.linalg.norm(w1 - w_star) ** 2)
 
     schedule, resolved_schedule = _resolve_schedule(config.schedule, consts, M, B, config.seed)
-
-    attack = _build_attack(config.attack, problem.dim)
-    byz_ids = set(range(M - B, M))
-    client_specs = tuple(
-        ClientSpec(m=m, attack=attack if m in byz_ids else None) for m in range(M)
-    )
-    honest_ids = tuple(m for m in range(M) if m not in byz_ids)
 
     theory1 = None
     if schedule.is_uniform and schedule.uniform_K >= 1 and 2 * B < M:
@@ -317,19 +241,6 @@ def prepare(config: ExperimentConfig) -> PreparedExperiment:
             w1_gap_sq=w1_gap_sq,
         )
 
-    resolved_config = ExperimentConfig(
-        problem=config.problem,
-        n_byzantine=B,
-        attack=config.attack,
-        aggregator=config.aggregator,
-        schedule=resolved_schedule,
-        oracle=config.oracle,
-        rounds=config.rounds,
-        seed=config.seed,
-        init=config.init,
-        override_half_plus=config.override_half_plus,
-    )
-
     return PreparedExperiment(
         problem=problem,
         consts=consts,
@@ -337,46 +248,47 @@ def prepare(config: ExperimentConfig) -> PreparedExperiment:
         f_star=f_star,
         w1=w1,
         schedule=schedule,
-        client_specs=client_specs,
-        aggregator=_build_aggregator(config.aggregator),
-        oracle_mode=oracle_mode,
+        attack=config.attack,
+        aggregator=config.aggregator,
+        oracle=config.oracle,
         rounds=config.rounds,
         master_seed=config.seed,
-        resolved=resolved_config.to_dict(),
+        resolved=replace(config, schedule=resolved_schedule).to_dict(),
         theory1=theory1,
-        honest_ids=honest_ids,
+        honest_ids=range(M - B),
         M=M,
         B=B,
         w1_gap_sq=w1_gap_sq,
-        assumption_violating=isinstance(oracle_mode, Minibatch),
+        assumption_violating=config.oracle.kind == "minibatch",
     )
 
 
-def run_round(prep: PreparedExperiment, w_t: np.ndarray, t: int) -> tuple[np.ndarray, TraceRecord]:
-    """Execute round t from broadcast w_t; returns (w_{t+1}, record).
+def run_round(
+    prep: PreparedExperiment, w_t: np.ndarray, t: int, theorem2_cum: float = 1.0
+) -> tuple[np.ndarray, float, TraceRecord]:
+    """Execute round t from broadcast w_t; returns (w_{t+1}, theorem2_cum, record).
 
-    Advances the cumulative general-schedule envelope held by ``prep``, so
-    rounds must be executed in order.
+    ``theorem2_cum`` is the product of the general-schedule envelope's round
+    multipliers over rounds before t (1.0 before round 1); the returned value
+    includes round t's, to be passed to round t + 1.
     """
     start = time.perf_counter()
-    specs = sorted(prep.client_specs, key=lambda s: s.m)
-    honest = [i for i, s in enumerate(specs) if s.honest]
-    Z = np.empty((len(specs), w_t.shape[0]))
-    Z[honest] = honest_local_update(
-        prep.problem, [specs[i].m for i in honest], w_t, t, prep.schedule, prep.oracle_mode, prep.master_seed
+    H = len(prep.honest_ids)
+    Z = np.empty((prep.M, w_t.shape[0]))
+    Z[:H] = honest_local_update(
+        prep.problem, prep.honest_ids, w_t, t, prep.schedule, prep.oracle, prep.master_seed
     )
-    if len(honest) < len(specs):
-        noise = substream(prep.master_seed, "attack", t).standard_normal((prep.M, w_t.shape[0]))
-        for i, s in enumerate(specs):
-            if not s.honest:
-                Z[i] = byzantine_message(s.attack, w_t, noise[s.m], honest_center=w_t)
+    if H < prep.M:
+        noise = substream(prep.master_seed, "attack", t).standard_normal(Z.shape)
+        for m in range(H, prep.M):
+            Z[m] = byzantine_message(prep.attack, w_t, noise[m], honest_center=w_t)
 
     # Drop Byzantine uploads whose squared norm overflows (no distance to them
     # is representable); the rest stay under half corrupted. Honest ones mean
     # the run diverged.
     usable = np.isfinite(np.einsum("ij,ij->i", Z, Z))
     if not usable.all():
-        bad = [s.m for s, ok in zip(specs, usable) if s.honest and not ok]
+        bad = np.flatnonzero(~usable[:H]).tolist()
         if bad:
             raise FloatingPointError(f"round {t}: honest clients {bad} uploaded non-finite vectors")
         Z = Z[usable]
@@ -387,7 +299,7 @@ def run_round(prep: PreparedExperiment, w_t: np.ndarray, t: int) -> tuple[np.nda
     # pole and neither envelope is defined.
     bound2 = None
     if 2 * prep.B < prep.M:
-        prep.theorem2_cum *= theory.theorem2_round_multiplier(
+        theorem2_cum *= theory.theorem2_round_multiplier(
             t,
             prep.schedule.rate,
             prep.schedule.steps,
@@ -398,7 +310,7 @@ def run_round(prep: PreparedExperiment, w_t: np.ndarray, t: int) -> tuple[np.nda
             prep.M,
             prep.B,
         )
-        bound2 = 0.5 * prep.consts.L_const * prep.w1_gap_sq * prep.theorem2_cum
+        bound2 = 0.5 * prep.consts.L_const * prep.w1_gap_sq * theorem2_cum
     bound1 = theory.theorem1_bound(t, prep.theory1) if prep.theory1 is not None else None
 
     loss = global_loss(prep.problem, w_next)
@@ -422,7 +334,7 @@ def run_round(prep: PreparedExperiment, w_t: np.ndarray, t: int) -> tuple[np.nda
         test_accuracy=acc,
         wall_time_s=time.perf_counter() - start,
     )
-    return w_next, record
+    return w_next, theorem2_cum, record
 
 
 def run_prepared(prep: PreparedExperiment, n_threads: int = 1) -> list[TraceRecord]:
@@ -431,11 +343,10 @@ def run_prepared(prep: PreparedExperiment, n_threads: int = 1) -> list[TraceReco
     ``n_threads`` is accepted for compatibility and has no effect: honest
     clients already run as one batched update.
     """
-    prep.theorem2_cum = 1.0
     records: list[TraceRecord] = []
-    w = prep.w1.copy()
+    w, cum = prep.w1.copy(), 1.0
     for t in range(1, prep.rounds + 1):
-        w, rec = run_round(prep, w, t)
+        w, cum, rec = run_round(prep, w, t, cum)
         records.append(rec)
     return records
 

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import theory
-from .aggregation import WeiszfeldConfig, ball_robustness_check, geomed_objective, geometric_median
-from .clients import Schedule
+from .aggregation import ball_robustness_check, geomed_objective, geometric_median
 from .config import (
     AggregatorSpec,
     AttackSpec,
@@ -25,7 +24,6 @@ from .config import (
     SyntheticProblemSpec,
 )
 from .problems import (
-    RelativeNoise,
     Ridge,
     constants,
     global_gradient,
@@ -79,7 +77,7 @@ def ball_robustness_cases(n_cases: int = 10_000, seed: int = 2024) -> list[dict]
     smoothed-subgradient residual.
     """
     rng = np.random.default_rng(seed)
-    cfg = WeiszfeldConfig()
+    spec = AggregatorSpec()
     failures = []
     for case in range(n_cases):
         n = int(rng.integers(3, 26))
@@ -100,8 +98,8 @@ def ball_robustness_cases(n_cases: int = 10_000, seed: int = 2024) -> list[dict]
 
         pts = np.concatenate([honest, attackers]) if q else honest
 
-        ok = ball_robustness_check(pts, center, radius, q, cfg)
-        result = geometric_median(pts, cfg)
+        ok = ball_robustness_check(pts, center, radius, q, spec)
+        result = geometric_median(pts, spec)
         cert_ok = True
         detail = ""
         if p == 2:
@@ -131,12 +129,12 @@ def ball_robustness_cases(n_cases: int = 10_000, seed: int = 2024) -> list[dict]
 def median_reduction_cases(n_cases: int = 1000, seed: int = 77) -> list[dict]:
     """In one dimension with odd counts the geometric median is the coordinate median."""
     rng = np.random.default_rng(seed)
-    cfg = WeiszfeldConfig()
+    spec = AggregatorSpec()
     failures = []
     for case in range(n_cases):
         n = int(rng.integers(1, 13)) * 2 + 1
         pts = (rng.standard_normal((n, 1)) * 10.0 ** rng.uniform(-1, 2)).round(6)
-        res = geometric_median(pts, cfg)
+        res = geometric_median(pts, spec)
         med = float(np.median(pts))
         scale = max(1.0, abs(med))
         if abs(res.value[0] - med) > 1e-7 * scale:
@@ -147,21 +145,21 @@ def median_reduction_cases(n_cases: int = 1000, seed: int = 77) -> list[dict]:
 def equivariance_cases(n_cases: int = 1000, seed: int = 78) -> list[dict]:
     """Translation and positive-scaling equivariance within 10 * tol."""
     rng = np.random.default_rng(seed)
-    cfg = WeiszfeldConfig()
+    spec = AggregatorSpec()
     failures = []
     for case in range(n_cases):
         n = int(rng.integers(2, 15))
         p = int(rng.integers(1, 9))
         pts = rng.standard_normal((n, p))
-        base = geometric_median(pts, cfg).value
+        base = geometric_median(pts, spec).value
         shift = rng.normal(0.0, 10.0, size=p)
         s = float(10.0 ** rng.uniform(-2, 2))
-        moved = geometric_median(pts + shift, cfg).value
-        scaled = geometric_median(s * pts, cfg).value
+        moved = geometric_median(pts + shift, spec).value
+        scaled = geometric_median(s * pts, spec).value
         t_err = float(np.linalg.norm(moved - (base + shift)))
         s_err = float(np.linalg.norm(scaled - s * base))
-        t_tol = 10 * cfg.tol + 1e-12 * np.linalg.norm(shift)
-        s_tol = 10 * s * cfg.tol
+        t_tol = 10 * spec.tol + 1e-12 * np.linalg.norm(shift)
+        s_tol = 10 * s * spec.tol
         if t_err > t_tol or s_err > s_tol:
             failures.append({"case": case, "translation_err": t_err, "scaling_err": s_err})
     return failures
@@ -237,12 +235,13 @@ def assumptions_suite(seed: int = 2025, n_pairs: int = 1000, n_noise: int = 100_
     order = [] if consts.mu <= consts.L_const else [{"mu": consts.mu, "L": consts.L_const}]
 
     delta = 0.5
+    oracle = OracleSpec(kind="relative_noise", delta=delta)
     w = rng.standard_normal(problem.dim)
     g = global_gradient(problem, w)
     ratios = np.empty(n_noise)
     means = np.zeros(problem.dim)
     for i in range(n_noise):
-        noisy = local_stoch_grad(problem, [0], w[None], RelativeNoise(delta), rng)[0]
+        noisy = local_stoch_grad(problem, [0], w[None], oracle, rng)[0]
         noise = noisy - g
         ratios[i] = (noise @ noise) / (g @ g)
         means += noise

@@ -6,7 +6,6 @@ from hypothesis.extra.numpy import arrays
 
 from byzfl.aggregation import (
     RobustnessCert,
-    WeiszfeldConfig,
     ball_robustness_check,
     coordinate_median,
     geomed_objective,
@@ -14,6 +13,7 @@ from byzfl.aggregation import (
     mean,
     trimmed_mean,
 )
+from byzfl.config import AggregatorSpec
 
 
 def grid_argmin_1d(points, lo, hi, step):
@@ -93,7 +93,7 @@ class TestGeometricMedian:
 
     def test_converged_residual_below_tol(self):
         rng = np.random.default_rng(0)
-        cfg = WeiszfeldConfig()
+        cfg = AggregatorSpec()
         for _ in range(50):
             pts = rng.standard_normal((int(rng.integers(2, 12)), int(rng.integers(1, 6))))
             res = geometric_median(pts, cfg)
@@ -102,7 +102,7 @@ class TestGeometricMedian:
 
     def test_objective_beats_all_candidates(self):
         rng = np.random.default_rng(1)
-        cfg = WeiszfeldConfig()
+        cfg = AggregatorSpec()
         for _ in range(50):
             n, p = int(rng.integers(2, 15)), int(rng.integers(1, 8))
             pts = rng.standard_normal((n, p)) * rng.uniform(0.5, 3.0)
@@ -136,7 +136,7 @@ class TestGeometricMedian:
     def test_max_iters_returns_unconverged(self):
         rng = np.random.default_rng(3)
         pts = rng.standard_normal((30, 4))
-        res = geometric_median(pts, WeiszfeldConfig(tol=1e-14, max_iters=2))
+        res = geometric_median(pts, AggregatorSpec(tol=1e-14, max_iters=2))
         assert res.iterations == 2
         assert not res.converged
 
@@ -167,7 +167,7 @@ class TestGeometricMedian:
     def test_translation_equivariance_objective(self, pts, shift):
         pts = pts.round(6)
         shift = shift.round(3)
-        cfg = WeiszfeldConfig()
+        cfg = AggregatorSpec()
         base = geometric_median(pts, cfg)
         moved = geometric_median(pts + shift, cfg)
         scale = 1.0 + np.abs(pts).max() + np.abs(shift).max()
@@ -182,7 +182,7 @@ class TestGeometricMedian:
     @settings(max_examples=60, deadline=None)
     def test_scaling_equivariance_objective(self, pts, s):
         pts = pts.round(6)
-        cfg = WeiszfeldConfig()
+        cfg = AggregatorSpec()
         base = geometric_median(pts, cfg)
         scaled = geometric_median(s * pts, cfg)
         slack = s * pts.shape[0] * (10 * cfg.tol + 1e-12 * (1.0 + np.abs(pts).max()))
@@ -196,7 +196,7 @@ class TestGeometricMedian:
 
     def test_1d_odd_count_equals_median(self):
         rng = np.random.default_rng(4)
-        cfg = WeiszfeldConfig()
+        cfg = AggregatorSpec()
         for _ in range(200):
             n = int(rng.integers(1, 12)) * 2 + 1
             pts = rng.standard_normal((n, 1)) * 10

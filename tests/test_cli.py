@@ -62,6 +62,27 @@ class TestRun:
         assert code == 2
         assert "B < M/2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"attack": {"kind": "gaussian", "sigma": -1.0}},
+            {"attack": {"kind": "gaussian", "mean_mode": "bogus"}},
+            {"attack": {"kind": "fixed", "vector": [1.0, math.inf, 0.0]}},
+            {"aggregator": {"kind": "geomed", "tol": 0.0}},
+            {"aggregator": {"kind": "geomed", "max_iters": 0}},
+            {"aggregator": {"kind": "geomed", "smoothing": -1.0}},
+            {"aggregator": {"kind": "trimmed_mean", "trim_fraction": 0.6}},
+            {"oracle": {"kind": "minibatch", "batch_size": 21}},
+        ],
+        ids=["sigma", "mean_mode", "vector", "tol", "max_iters", "smoothing", "trim_fraction", "batch_size"],
+    )
+    def test_invalid_field_value_exit_2(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, tiny_config(**overrides))
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and "Traceback" not in err
+
     def test_unknown_key_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"roundz": 5})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

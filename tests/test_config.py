@@ -57,6 +57,32 @@ class TestParsing:
         with pytest.raises(ConfigError):
             AttackSpec(kind="fixed")
 
+    def test_attack_validation(self):
+        with pytest.raises(ConfigError):
+            AttackSpec(sigma=-1.0)
+        with pytest.raises(ConfigError):
+            AttackSpec(sigma=1.0, mean_mode="typo")
+        with pytest.raises(ConfigError):
+            AttackSpec(kind="fixed", vector=[1.0, float("inf"), 0.0])
+        with pytest.raises(ConfigError):
+            AttackSpec(kind="fixed", vector=[float("nan")])
+        assert AttackSpec(sigma=0.0, mean_mode="honest_center").sigma == 0.0
+
+    def test_aggregator_validation(self):
+        for bad in (
+            dict(tol=0.0),
+            dict(max_iters=0),
+            dict(smoothing=-1.0),
+            dict(trim_fraction=0.5),
+            dict(trim_fraction=-0.1),
+        ):
+            with pytest.raises(ConfigError):
+                AggregatorSpec(**bad)
+        assert AggregatorSpec(kind="trimmed_mean", trim_fraction=0.0, smoothing=0.0, max_iters=1).max_iters == 1
+        # geometric_median's stopping and smoothing defaults.
+        spec = AggregatorSpec()
+        assert (spec.tol, spec.max_iters, spec.smoothing) == (1e-10, 1000, 1e-10)
+
     def test_schedule_validation(self):
         with pytest.raises(ConfigError):
             ScheduleSpec(kind="uniform", steps=-1)

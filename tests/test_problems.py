@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
+from byzfl.config import OracleSpec
 from byzfl.problems import (
     Dataset,
-    FullGradient,
     Logistic,
-    Minibatch,
     Problem,
-    RelativeNoise,
     Ridge,
     constants,
     global_gradient,
@@ -126,7 +124,7 @@ class TestGradients:
         prob = make_synthetic(p=5, M=11, S_per_user=23, seed=3, heterogeneity=0.8, loss_kind=Logistic(lam=0.2))
         rng = np.random.default_rng(3)
         W = rng.standard_normal((4, 5))
-        batch = local_stoch_grad(prob, [0] * 4, W, RelativeNoise(delta=0.0), substream(0, "grad"))
+        batch = local_stoch_grad(prob, [0] * 4, W, OracleSpec(kind="relative_noise", delta=0.0), substream(0, "grad"))
         for w, row in zip(W, batch):
             loop = prob.lam * w
             for u, d in zip(prob.user_weights, prob.per_user):
@@ -148,13 +146,13 @@ class TestStochasticOracles:
         prob = make_synthetic(p=3, M=2, S_per_user=10, seed=10)
         w = np.ones(3)
         assert np.array_equal(
-            local_stoch_grad(prob, [0], w[None], FullGradient())[0], local_gradient(prob, 0, w)
+            local_stoch_grad(prob, [0], w[None], OracleSpec(kind="full"))[0], local_gradient(prob, 0, w)
         )
 
     def test_relative_noise_zero_delta_exact(self):
         prob = make_synthetic(p=3, M=2, S_per_user=10, seed=11)
         w = np.ones(3)
-        g = local_stoch_grad(prob, [0], w[None], RelativeNoise(0.0), substream(0, "x"))[0]
+        g = local_stoch_grad(prob, [0], w[None], OracleSpec(kind="relative_noise", delta=0.0), substream(0, "x"))[0]
         assert np.array_equal(g, global_gradient(prob, w))
 
     def test_relative_noise_norm_exact_per_draw(self):
@@ -163,7 +161,7 @@ class TestStochasticOracles:
         g = global_gradient(prob, w)
         rng = substream(1, "noise")
         for _ in range(100):
-            noisy = local_stoch_grad(prob, [0], w[None], RelativeNoise(0.5), rng)[0]
+            noisy = local_stoch_grad(prob, [0], w[None], OracleSpec(kind="relative_noise", delta=0.5), rng)[0]
             ratio = np.linalg.norm(noisy - g) / np.linalg.norm(g)
             assert ratio == pytest.approx(0.5, rel=1e-12)
 
@@ -177,7 +175,7 @@ class TestStochasticOracles:
         n = 100_000
         ratios = np.empty(n)
         for i in range(n):
-            noisy = local_stoch_grad(prob, [0], w[None], RelativeNoise(0.7), rng)[0]
+            noisy = local_stoch_grad(prob, [0], w[None], OracleSpec(kind="relative_noise", delta=0.7), rng)[0]
             d = noisy - g
             ratios[i] = (d @ d) / gsq
         assert abs(ratios.mean() - 0.49) <= 0.05 * 0.49
@@ -190,7 +188,7 @@ class TestStochasticOracles:
         n = 100_000
         draws = np.empty((n, 4))
         for i in range(n):
-            draws[i] = local_stoch_grad(prob, [0], w[None], Minibatch(batch_size=5), rng)[0]
+            draws[i] = local_stoch_grad(prob, [0], w[None], OracleSpec(kind="minibatch", batch_size=5), rng)[0]
         mean = draws.mean(axis=0)
         sigma = draws.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(mean - exact) <= 4 * sigma + 1e-12)
@@ -198,12 +196,12 @@ class TestStochasticOracles:
     def test_minibatch_too_large_rejected(self):
         prob = make_synthetic(p=2, M=1, S_per_user=4, seed=15)
         with pytest.raises(ValueError):
-            local_stoch_grad(prob, [0], np.zeros((1, 2)), Minibatch(batch_size=5), substream(0, "x"))
+            local_stoch_grad(prob, [0], np.zeros((1, 2)), OracleSpec(kind="minibatch", batch_size=5), substream(0, "x"))
 
     def test_stochastic_modes_require_rng(self):
         prob = make_synthetic(p=2, M=1, S_per_user=4, seed=16)
         with pytest.raises(ValueError):
-            local_stoch_grad(prob, [0], np.zeros((1, 2)), Minibatch(batch_size=2))
+            local_stoch_grad(prob, [0], np.zeros((1, 2)), OracleSpec(kind="minibatch", batch_size=2))
 
 
 def orthogonal_design_problem(eigs, lam, S=None):
@@ -256,9 +254,9 @@ class TestConstants:
     def test_delta_echoes_oracle(self):
         prob = make_synthetic(p=3, M=2, S_per_user=10, seed=20)
         assert constants(prob).delta == 0.0
-        assert constants(prob, FullGradient()).delta == 0.0
-        assert constants(prob, RelativeNoise(0.3)).delta == 0.3
-        assert constants(prob, Minibatch(batch_size=2)).delta == 0.0
+        assert constants(prob, OracleSpec(kind="full")).delta == 0.0
+        assert constants(prob, OracleSpec(kind="relative_noise", delta=0.3)).delta == 0.3
+        assert constants(prob, OracleSpec(kind="minibatch", batch_size=2)).delta == 0.0
 
     def test_logistic_constants(self):
         prob = make_synthetic(p=4, M=3, S_per_user=50, seed=21, loss_kind=Logistic(lam=0.2))
