@@ -103,13 +103,17 @@ def geomed_objective(points, z) -> float:
 
 
 def _majority_point(pts: np.ndarray) -> np.ndarray | None:
-    """Return the point shared bitwise by strictly more than half the rows, if any."""
-    counts: dict[bytes, int] = {}
-    for row in pts:
-        counts[row.tobytes()] = counts.get(row.tobytes(), 0) + 1
-    best = max(counts.items(), key=lambda kv: kv[1])
-    if 2 * best[1] > pts.shape[0]:
-        return np.frombuffer(best[0], dtype=np.float64).copy()
+    """Return the point shared bitwise by strictly more than half the rows, if any.
+
+    Such a row sits at position n // 2 of every column sorted in any total
+    order, so the only candidate is that position's value of each column's
+    bit patterns (+0.0 and -0.0 differ); it is counted exactly.
+    """
+    n = pts.shape[0]
+    bits = np.ascontiguousarray(pts).view(np.int64)
+    candidate = np.partition(bits, n // 2, axis=0)[n // 2]
+    if 2 * np.count_nonzero((bits == candidate).all(axis=1)) > n:
+        return candidate.view(np.float64).copy()
     return None
 
 

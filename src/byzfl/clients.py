@@ -20,6 +20,7 @@ from .rng import substream
 
 __all__ = [
     "Schedule",
+    "constant_rates",
     "honest_local_update",
     "byzantine_message",
     "floor_decay_steps",
@@ -32,28 +33,34 @@ class Schedule:
     """Local-step counts K^t and learning rates eta(t, m, k).
 
     ``steps`` maps a round index to the number of local updates (0 allowed
-    for degenerate tests); ``rate`` maps (round, client, step) to a positive
-    learning rate. ``uniform_K``/``uniform_eta`` are set when the schedule
-    is constant in all arguments, which is what makes the fixed-setup
-    envelope applicable.
+    for degenerate tests); ``rates`` maps round t to an (M, K^t) array of
+    positive rates whose row m, column k - 1 is eta(t, m, k).
+    ``uniform_K``/``uniform_eta`` are set when the schedule is constant in
+    all arguments, which is what makes the fixed-setup envelope applicable.
     """
 
     steps: Callable[[int], int]
-    rate: Callable[[int, int, int], float]
+    rates: Callable[[int], np.ndarray]
     uniform_K: int | None = None
     uniform_eta: float | None = None
 
     @classmethod
-    def uniform(cls, K: int, eta: float) -> "Schedule":
+    def uniform(cls, K: int, eta: float, M: int) -> "Schedule":
         if K < 0:
             raise ValueError(f"K must be nonnegative, got {K}")
         if eta <= 0:
             raise ValueError(f"eta must be positive, got {eta}")
-        return cls(steps=lambda t: K, rate=lambda t, m, k: eta, uniform_K=K, uniform_eta=eta)
+        return cls(lambda t: K, constant_rates(eta, M, lambda t: K), uniform_K=K, uniform_eta=eta)
 
     @property
     def is_uniform(self) -> bool:
         return self.uniform_K is not None and self.uniform_eta is not None
+
+
+def constant_rates(etas, M: int, steps: Callable[[int], int]) -> Callable[[int], np.ndarray]:
+    """``Schedule.rates`` for fixed rates: ``etas`` (one, or one per client) broadcast to (M, steps(t))."""
+    col = np.reshape(np.asarray(etas, dtype=np.float64), (-1, 1))
+    return lambda t: np.broadcast_to(col, (M, steps(t)))
 
 
 def honest_local_update(
@@ -67,7 +74,8 @@ def honest_local_update(
 ) -> np.ndarray:
     """Run K^t local SGD steps from w_t for clients ``ids``; row i is client ids[i]'s upload.
 
-    Step k uses rate(t, m, k) and one batched gradient whose draws come from
+    Rows ``ids`` of ``schedule.rates(t)`` hold the rates, an (M, K^t) array;
+    step k uses column k - 1 and one batched gradient whose draws come from
     the stream keyed (master_seed, 'grad', t, k), so each row is independent
     of the batch's membership and order. K^t = 0 returns copies of w_t.
     """
@@ -76,14 +84,16 @@ def honest_local_update(
     K = schedule.steps(t)
     if K < 0:
         raise ValueError(f"steps({t}) must be nonnegative, got {K}")
+    eta = schedule.rates(t)[ids]
+    if eta.shape != (ids.size, K):
+        raise ValueError(f"rates({t}) gives shape {eta.shape} for {ids.size} clients, steps({t}) = {K}")
+    if (eta <= 0).any():
+        k, i = np.argwhere(eta.T <= 0)[0]
+        raise ValueError(f"rate({t}, {ids[i]}, {k + 1}) must be positive, got {eta[i, k]}")
     needs_rng = oracle.kind != "full"
     for k in range(1, K + 1):
-        eta = np.array([schedule.rate(t, m, k) for m in ids], dtype=np.float64)
-        bad = eta <= 0
-        if bad.any():
-            raise ValueError(f"rate({t}, {ids[bad][0]}, {k}) must be positive, got {eta[bad][0]}")
         rng = substream(master_seed, "grad", t, k) if needs_rng else None
-        W -= eta[:, None] * local_stoch_grad(problem, ids, W, oracle, rng)
+        W -= eta[:, k - 1, None] * local_stoch_grad(problem, ids, W, oracle, rng)
     return W
 
 
@@ -93,11 +103,13 @@ def byzantine_message(
     noise: np.ndarray,
     honest_center: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Generate a Byzantine upload of the broadcast's dimension.
+    """Generate the Byzantine uploads for one round, of the broadcast's dimension.
 
-    ``noise`` is the client's row of standard normals, of the broadcast's
-    shape; only the gaussian attack reads it, and its 'honest_center' mode
-    centers at ``honest_center`` (the broadcast when not given).
+    ``noise`` holds one row of standard normals per Byzantine client (or is
+    one such row); only the gaussian attack reads it, returning row m as
+    center + sigma * noise[m], and its 'honest_center' mode centers at
+    ``honest_center`` (the broadcast when not given). The other attacks
+    return one vector, which every Byzantine client uploads.
     """
     w_t = np.asarray(w_t, dtype=np.float64)
     if attack.kind == "zero":

@@ -9,6 +9,7 @@ is prepared; the resolved config round-trips losslessly.
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -32,6 +33,8 @@ class ConfigError(ValueError):
 
 
 def _require_keys(d: dict, where: str, required: set[str], optional: set[str]) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {d!r}")
     keys = set(d)
     unknown = keys - required - optional
     if unknown:
@@ -39,6 +42,25 @@ def _require_keys(d: dict, where: str, required: set[str], optional: set[str]) -
     missing = required - keys
     if missing:
         raise ConfigError(f"{where}: missing required keys {sorted(missing)}")
+
+
+_KIND_NAMES = {int: "integer", float: "number", str: "string", bool: "boolean"}
+
+
+def _is(value, kind) -> bool:
+    """int: a count; float: a real number (bools are neither); [kind]: a list of them."""
+    if isinstance(kind, list):
+        return isinstance(value, (list, tuple)) and all(_is(v, kind[0]) for v in value)
+    kind = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _check_types(spec, where: str, **kinds) -> None:
+    """Reject a field whose value is not of its kind (see ``_is``), before any comparison reads it."""
+    for name, kind in kinds.items():
+        if not _is(getattr(spec, name), kind):
+            expected = f"list of {_KIND_NAMES[kind[0]]}s" if isinstance(kind, list) else _KIND_NAMES[kind]
+            raise ConfigError(f"{where}{name} must be of type {expected}, got {getattr(spec, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -52,6 +74,9 @@ class SyntheticProblemSpec:
     reg: float = 0.5
 
     def __post_init__(self) -> None:
+        _check_types(
+            self, "problem.", p=int, n_users=int, samples_per_user=int, heterogeneity=float, reg=float
+        )
         if self.loss not in ("ridge", "logistic"):
             raise ConfigError(f"problem.loss must be 'ridge' or 'logistic', got {self.loss!r}")
         if self.p < 1 or self.n_users < 1 or self.samples_per_user < 1:
@@ -80,6 +105,7 @@ class CsvProblemSpec:
     reg: float = 0.5
 
     def __post_init__(self) -> None:
+        _check_types(self, "problem.", paths=[str], reg=float)
         object.__setattr__(self, "paths", tuple(self.paths))
         if len(self.paths) < 1:
             raise ConfigError("problem.paths must name at least one CSV file")
@@ -97,7 +123,7 @@ class CsvProblemSpec:
 
 
 def _problem_from_dict(d: dict) -> "SyntheticProblemSpec | CsvProblemSpec":
-    kind = d.get("kind", "synthetic")
+    kind = d.get("kind", "synthetic") if isinstance(d, dict) else "synthetic"
     if kind == "synthetic":
         return SyntheticProblemSpec.from_dict(d)
     if kind == "csv":
@@ -126,6 +152,7 @@ class AttackSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("gaussian", "sign_flip", "zero", "fixed"):
             raise ConfigError(f"attack.kind must be gaussian|sign_flip|zero|fixed, got {self.kind!r}")
+        _check_types(self, "attack.", sigma=float, scale=float)
         if self.sigma < 0:
             raise ConfigError(f"attack.sigma must be nonnegative, got {self.sigma}")
         if self.mean_mode not in ("zero", "honest_center"):
@@ -133,6 +160,7 @@ class AttackSpec:
         if self.kind == "fixed" and self.vector is None:
             raise ConfigError("attack.kind 'fixed' requires attack.vector")
         if self.vector is not None:
+            _check_types(self, "attack.", vector=[float])
             object.__setattr__(self, "vector", tuple(float(v) for v in self.vector))
             if not all(math.isfinite(v) for v in self.vector):
                 raise ConfigError(f"attack.vector must be finite, got {list(self.vector)}")
@@ -166,6 +194,7 @@ class AggregatorSpec:
             raise ConfigError(
                 f"aggregator.kind must be geomed|mean|coordinate_median|trimmed_mean, got {self.kind!r}"
             )
+        _check_types(self, "aggregator.", tol=float, max_iters=int, smoothing=float, trim_fraction=float)
         if self.tol <= 0:
             raise ConfigError(f"aggregator.tol must be positive, got {self.tol}")
         if self.max_iters < 1:
@@ -209,19 +238,21 @@ class ScheduleSpec:
             raise ConfigError(
                 f"schedule.kind must be uniform|general|floor_decay|linear_decay, got {self.kind!r}"
             )
-        if isinstance(self.client_etas, (list, tuple)):
+        _check_types(self, "schedule.", eta_range=[float], steps_cycle=[int], K1=int, E=int)
+        if not (self.client_etas is None or self.client_etas == "auto"):
+            _check_types(self, "schedule.", client_etas=[float])
             object.__setattr__(self, "client_etas", tuple(float(v) for v in self.client_etas))
         object.__setattr__(self, "eta_range", tuple(float(v) for v in self.eta_range))
         object.__setattr__(self, "steps_cycle", tuple(int(v) for v in self.steps_cycle))
         if self.kind == "uniform":
-            if self.steps != "auto" and (not isinstance(self.steps, int) or self.steps < 0):
+            if self.steps != "auto" and (not _is(self.steps, int) or self.steps < 0):
                 raise ConfigError(f"schedule.steps must be 'auto' or an int >= 0, got {self.steps!r}")
-            if self.eta != "auto" and (not isinstance(self.eta, (int, float)) or self.eta <= 0):
-                raise ConfigError(f"schedule.eta must be 'auto' or a positive number, got {self.eta!r}")
+        if self.kind != "general" and self.eta != "auto" and (not _is(self.eta, float) or self.eta <= 0):
+            raise ConfigError(f"schedule.eta must be 'auto' or a positive number, got {self.eta!r}")
         if self.kind == "general":
             if not self.steps_cycle or any(k < 0 for k in self.steps_cycle):
                 raise ConfigError("schedule.steps_cycle must be a nonempty list of ints >= 0")
-            if not (0 < self.eta_range[0] <= self.eta_range[1]):
+            if len(self.eta_range) != 2 or not (0 < self.eta_range[0] <= self.eta_range[1]):
                 raise ConfigError(f"schedule.eta_range must be 0 < lo <= hi, got {self.eta_range}")
         if self.kind in ("floor_decay", "linear_decay") and (self.K1 < 1 or self.E < 1):
             raise ConfigError("schedule.K1 and schedule.E must be >= 1")
@@ -259,6 +290,7 @@ class OracleSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("full", "minibatch", "relative_noise"):
             raise ConfigError(f"oracle.kind must be full|minibatch|relative_noise, got {self.kind!r}")
+        _check_types(self, "oracle.", batch_size=int, delta=float)
         if self.kind == "minibatch" and self.batch_size < 1:
             raise ConfigError(f"oracle.batch_size must be >= 1, got {self.batch_size}")
         if self.delta < 0:
@@ -278,6 +310,7 @@ class InitSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("zeros", "random"):
             raise ConfigError(f"init.kind must be 'zeros' or 'random', got {self.kind!r}")
+        _check_types(self, "init.", scale=float)
 
     @classmethod
     def from_dict(cls, d: dict) -> "InitSpec":
@@ -299,10 +332,11 @@ class ExperimentConfig:
     override_half_plus: bool = False
 
     def __post_init__(self) -> None:
+        _check_types(self, "", n_byzantine=int, rounds=int, seed=int, override_half_plus=bool)
         if self.rounds < 1:
             raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
-        if self.n_byzantine < 0:
-            raise ConfigError(f"n_byzantine must be nonnegative, got {self.n_byzantine}")
+        if self.n_byzantine < 0 or self.seed < 0:
+            raise ConfigError(f"n_byzantine and seed must be nonnegative, got {self.n_byzantine}, {self.seed}")
         M = self.problem.n_users
         if self.n_byzantine >= M:
             raise ConfigError(f"n_byzantine={self.n_byzantine} must be below n_users={M}")

@@ -23,6 +23,7 @@ from .aggregation import coordinate_median, geometric_median, mean, trimmed_mean
 from .clients import (
     Schedule,
     byzantine_message,
+    constant_rates,
     floor_decay_steps,
     honest_local_update,
     linear_decay_steps,
@@ -116,6 +117,7 @@ class PreparedExperiment:
     master_seed: int
     resolved: dict
     theory1: theory.TheoryParams | None
+    theorem2_multiplier: float | None  # every round's, when it does not depend on the round
     honest_ids: range
     M: int
     B: int
@@ -147,9 +149,9 @@ def _resolve_schedule(
         if steps == 0:
             # Degenerate no-update schedule; keep it runnable but non-uniform
             # for bound purposes (K >= 1 is required by the envelope).
-            sched = Schedule(steps=lambda t: 0, rate=lambda t, m, k: eta)
+            sched = Schedule(steps=lambda t: 0, rates=constant_rates(eta, M, lambda t: 0))
         else:
-            sched = Schedule.uniform(steps, eta)
+            sched = Schedule.uniform(steps, eta, M)
         return sched, resolved
 
     if spec.kind == "general":
@@ -169,19 +171,15 @@ def _resolve_schedule(
         resolved = ScheduleSpec(
             kind="general", client_etas=etas, eta_range=spec.eta_range, steps_cycle=cycle
         )
-        sched = Schedule(
-            steps=lambda t: cycle[(t - 1) % len(cycle)],
-            rate=lambda t, m, k: etas[m],
-        )
+        steps_fn = lambda t: cycle[(t - 1) % len(cycle)]  # noqa: E731
+        sched = Schedule(steps=steps_fn, rates=constant_rates(etas, M, steps_fn))
         return sched, resolved
 
     eta = eta_star if spec.eta == "auto" else float(spec.eta)
-    if eta <= 0:
-        raise ConfigError(f"schedule.eta must be positive, got {eta}")
     decay = floor_decay_steps if spec.kind == "floor_decay" else linear_decay_steps
     steps_fn = decay(spec.K1, spec.E)
     resolved = ScheduleSpec(kind=spec.kind, eta=eta, K1=spec.K1, E=spec.E, steps="auto")
-    sched = Schedule(steps=steps_fn, rate=lambda t, m, k: eta)
+    sched = Schedule(steps=steps_fn, rates=constant_rates(eta, M, steps_fn))
     return sched, resolved
 
 
@@ -228,8 +226,11 @@ def prepare(config: ExperimentConfig) -> PreparedExperiment:
 
     schedule, resolved_schedule = _resolve_schedule(config.schedule, consts, M, B, config.seed)
 
-    theory1 = None
+    theory1 = multiplier = None
     if schedule.is_uniform and schedule.uniform_K >= 1 and 2 * B < M:
+        multiplier = theory.theorem2_round_multiplier(
+            1, schedule.rates(1)[: M - B], consts.mu, consts.L_const, consts.delta, M, B
+        )
         theory1 = theory.TheoryParams(
             eta=schedule.uniform_eta,
             mu=consts.mu,
@@ -255,6 +256,7 @@ def prepare(config: ExperimentConfig) -> PreparedExperiment:
         master_seed=config.seed,
         resolved=replace(config, schedule=resolved_schedule).to_dict(),
         theory1=theory1,
+        theorem2_multiplier=multiplier,
         honest_ids=range(M - B),
         M=M,
         B=B,
@@ -280,8 +282,7 @@ def run_round(
     )
     if H < prep.M:
         noise = substream(prep.master_seed, "attack", t).standard_normal(Z.shape)
-        for m in range(H, prep.M):
-            Z[m] = byzantine_message(prep.attack, w_t, noise[m], honest_center=w_t)
+        Z[H:] = byzantine_message(prep.attack, w_t, noise[H:], honest_center=w_t)
 
     # Drop Byzantine uploads whose squared norm overflows (no distance to them
     # is representable); the rest stay under half corrupted. Honest ones mean
@@ -299,17 +300,14 @@ def run_round(
     # pole and neither envelope is defined.
     bound2 = None
     if 2 * prep.B < prep.M:
-        theorem2_cum *= theory.theorem2_round_multiplier(
-            t,
-            prep.schedule.rate,
-            prep.schedule.steps,
-            prep.honest_ids,
-            prep.consts.mu,
-            prep.consts.L_const,
-            prep.consts.delta,
-            prep.M,
-            prep.B,
-        )
+        multiplier = prep.theorem2_multiplier
+        if multiplier is None:
+            c = prep.consts
+            rates = prep.schedule.rates(t)[:H]
+            multiplier = theory.theorem2_round_multiplier(
+                t, rates, c.mu, c.L_const, c.delta, prep.M, prep.B
+            )
+        theorem2_cum *= multiplier
         bound2 = 0.5 * prep.consts.L_const * prep.w1_gap_sq * theorem2_cum
     bound1 = theory.theorem1_bound(t, prep.theory1) if prep.theory1 is not None else None
 

@@ -3,13 +3,17 @@
 Pure functions computing the per-step contraction factor, the corruption
 amplification constant, the geometric optimality-gap envelopes for uniform
 and general schedules, and the zero-gap conditions that decide whether the
-envelope decays.
+envelope decays. A round's rates are the honest clients' rows of the
+schedule's (M, K^t) rate array: an (M - B, K^t) array whose row m, column
+k - 1 is eta(t, m, k).
 """
 
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
+
+import numpy as np
 
 __all__ = [
     "gamma",
@@ -26,16 +30,11 @@ __all__ = [
     "zero_gap_condition",
 ]
 
-# rate: (round t, client m, step k) -> learning rate
-RateFn = Callable[[int, int, int], float]
-# steps: round t -> number of local steps K^t
-StepsFn = Callable[[int], int]
-
-
-def gamma(eta: float, mu: float, L_const: float, delta: float = 0.0) -> float:
-    """Per-local-step squared-distance factor 1 - 2*eta*mu + eta^2*L^2*(1+delta^2)."""
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+def gamma(eta, mu: float, L_const: float, delta: float = 0.0):
+    """Per-local-step squared-distance factor 1 - 2*eta*mu + eta^2*L^2*(1+delta^2), element-wise."""
+    low = eta if np.isscalar(eta) else np.min(eta, initial=np.inf)
+    if low <= 0:
+        raise ValueError(f"eta must be positive, got {low}")
     return 1.0 - 2.0 * eta * mu + eta * eta * L_const * L_const * (1.0 + delta * delta)
 
 
@@ -150,35 +149,21 @@ def theorem1_series(params: TheoryParams, T: int) -> BoundSeries:
 
 
 def theorem2_round_multiplier(
-    i: int,
-    rate: RateFn,
-    steps: StepsFn,
-    honest: Sequence[int],
-    mu: float,
-    L_const: float,
-    delta: float,
-    M: int,
-    B: int,
+    i: int, rates: np.ndarray, mu: float, L_const: float, delta: float, M: int, B: int
 ) -> float:
     """Round-i envelope factor (C_beta^2 / (M - B)) * sum over honest m of prod_k gamma(eta(i,m,k)).
 
-    A per-step factor computed as <= 0 is reported via a warning; the
+    ``rates`` is round i's (M - B, K^i) honest rate array. The products run
+    over k in order from 1.0 and the sum over m in order, as scalar loops
+    would. A per-step factor computed as <= 0 is reported via a warning; the
     multiplier is still evaluated, since the recurrence it feeds presumes
     nonnegative factors only for interpretability, not for evaluation.
     """
-    if len(honest) != M - B:
-        raise ValueError(f"expected {M - B} honest ids, got {len(honest)}")
+    if rates.shape[0] != M - B:
+        raise ValueError(f"expected {M - B} honest rate rows, got {rates.shape[0]}")
     cb2 = c_beta(B / M) ** 2
-    total = 0.0
-    negative: list[tuple[int, int]] = []
-    for m in honest:
-        prod = 1.0
-        for k in range(1, steps(i) + 1):
-            g = gamma(rate(i, m, k), mu, L_const, delta)
-            if g <= 0.0:
-                negative.append((m, k))
-            prod *= g
-        total += prod
+    factors = gamma(rates, mu, L_const, delta)
+    negative = [(m, k + 1) for m, k in np.argwhere(factors <= 0.0).tolist()]
     if negative:
         warnings.warn(
             f"round {i}: nonpositive per-step factor at (client, step) {negative[:3]}"
@@ -186,41 +171,30 @@ def theorem2_round_multiplier(
             RuntimeWarning,
             stacklevel=2,
         )
-    return cb2 / (M - B) * total
+    prods = np.ones(M - B)
+    for column in factors.T:
+        prods *= column
+    return cb2 / (M - B) * float(np.cumsum(prods)[-1])
 
 
 def theorem2_bound(
-    t: int,
-    rate: RateFn,
-    steps: StepsFn,
-    honest: Sequence[int],
-    mu: float,
-    L_const: float,
-    delta: float,
-    M: int,
-    B: int,
-    L_for_prefactor: float,
-    w1_gap_sq: float,
+    t: int, rates: Callable[[int], np.ndarray], mu: float, L_const: float, delta: float, M: int, B: int,
+    L_for_prefactor: float, w1_gap_sq: float,
 ) -> float:
-    """General-schedule envelope: (L/2) * ||w1 - w*||^2 * prod_{i<=t} round multiplier."""
+    """General-schedule envelope: (L/2) * ||w1 - w*||^2 * prod_{i<=t} round multiplier.
+
+    ``rates(i)`` is round i's (M - B, K^i) honest rate array.
+    """
     if t < 0:
         raise ValueError(f"round index must be nonnegative, got {t}")
     prod = 1.0
     for i in range(1, t + 1):
-        prod *= theorem2_round_multiplier(i, rate, steps, honest, mu, L_const, delta, M, B)
+        prod *= theorem2_round_multiplier(i, rates(i), mu, L_const, delta, M, B)
     return 0.5 * L_for_prefactor * w1_gap_sq * prod
 
 
 def zero_gap_condition(
-    i: int,
-    rate: RateFn,
-    steps: StepsFn,
-    honest: Sequence[int],
-    mu: float,
-    L_const: float,
-    delta: float,
-    M: int,
-    B: int,
+    i: int, rates: np.ndarray, mu: float, L_const: float, delta: float, M: int, B: int
 ) -> bool:
     """True iff sum_m prod_k gamma_m^{i,k} < (M - B) / C_beta^2, i.e. round i's multiplier is < 1."""
-    return theorem2_round_multiplier(i, rate, steps, honest, mu, L_const, delta, M, B) < 1.0
+    return theorem2_round_multiplier(i, rates, mu, L_const, delta, M, B) < 1.0

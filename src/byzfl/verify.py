@@ -313,12 +313,10 @@ def bounds_suite(seed: int = 2026, n_configs: int = 20) -> list[PropertyResult]:
         K = int(rng.integers(1, 10))
         gap = float(rng.uniform(0.1, 5.0))
         params = theory.TheoryParams(eta=eta, mu=mu, L_const=L, delta=delta, M=M, B=B, K=K, w1_gap_sq=gap)
-        honest = tuple(range(M - B))
+        rates = np.full((M - B, K), eta)
         for t in (1, 7, 40, 100):
             b1 = theory.theorem1_bound(t, params)
-            b2 = theory.theorem2_bound(
-                t, lambda tt, m, k: eta, lambda tt: K, honest, mu, L, delta, M, B, L, gap
-            )
+            b2 = theory.theorem2_bound(t, lambda i: rates, mu, L, delta, M, B, L, gap)
             if abs(b2 - b1) > 1e-12 * max(b1, 1e-300):
                 reduction_fails.append({"case": case, "t": t, "b1": b1, "b2": b2})
 

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from byzfl.aggregation import (
     RobustnessCert,
+    _majority_point,
     ball_robustness_check,
     coordinate_median,
     geomed_objective,
@@ -90,6 +91,39 @@ class TestGeometricMedian:
         # Grid oracle confirms the shared point is the minimizer.
         best = grid_min_2d(pts, (0.0, 0.0), 2.0)
         assert res.objective <= best + 1e-9
+
+    def test_majority_point_equals_bytes_count(self):
+        # Reference: count each row's bytes in a dict. Rows are drawn from a
+        # few prototypes over a small alphabet holding +-0.0, adjacent floats
+        # and subnormals, so coordinate-wise majorities without a majority
+        # row, exact half ties at even n, and n = 1 all occur.
+        def by_bytes(pts):
+            counts = {}
+            for row in pts:
+                counts[row.tobytes()] = counts.get(row.tobytes(), 0) + 1
+            best = max(counts.items(), key=lambda kv: kv[1])
+            return np.frombuffer(best[0]) if 2 * best[1] > len(pts) else None
+
+        alphabet = np.array([0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 5e-324, -5e-324, -3.5])
+        rng = np.random.default_rng(8)
+        seen = {"majority": 0, "none": 0, "half": 0}
+        for _ in range(5000):
+            n, p = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+            protos = rng.choice(alphabet, size=(int(rng.integers(1, 4)), p))
+            pts = protos[rng.integers(0, len(protos), size=n)]
+            if n % 2 == 0 and rng.random() < 0.3:
+                pts[: n // 2] = pts[0]
+                pts[n // 2 :] = np.where(pts[0] == 0.0, -pts[0], np.nextafter(pts[0], 9.0))
+                seen["half"] += 1
+            got, want = _majority_point(pts), by_bytes(pts)
+            if want is None:
+                assert got is None
+                seen["none"] += 1
+            else:
+                assert got is not None and got.tobytes() == want.tobytes()
+                seen["majority"] += 1
+        assert min(seen.values()) > 500, seen
+        assert _majority_point(np.array([[-0.0, 2.0]])).tobytes() == np.array([-0.0, 2.0]).tobytes()
 
     def test_converged_residual_below_tol(self):
         rng = np.random.default_rng(0)

@@ -83,6 +83,24 @@ class TestRun:
         assert code == 2
         assert "config error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"attack": {"kind": "gaussian", "sigma": "abc"}},
+            {"rounds": "5"},
+            {"attack": {"kind": "fixed", "vector": 3}},
+            {"problem": {"p": 2.5}},
+            {"n_byzantine": "2"},
+        ],
+        ids=["sigma-str", "rounds-str", "vector-int", "p-float", "n_byzantine-str"],
+    )
+    def test_wrong_type_exit_2(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, tiny_config(**overrides))
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and "Traceback" not in err
+
     def test_unknown_key_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"roundz": 5})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

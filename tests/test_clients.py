@@ -4,6 +4,7 @@ import pytest
 from byzfl.clients import (
     Schedule,
     byzantine_message,
+    constant_rates,
     floor_decay_steps,
     honest_local_update,
     linear_decay_steps,
@@ -39,7 +40,7 @@ LOSSES = [Ridge(lam=0.3), Logistic(lam=0.3)]
 class TestHonestLocalUpdate:
     def test_zero_steps_returns_broadcast(self):
         prob = make_synthetic(p=3, M=2, S_per_user=5, seed=0)
-        sched = Schedule(steps=lambda t: 0, rate=lambda t, m, k: 0.1)
+        sched = Schedule(steps=lambda t: 0, rates=lambda t: np.full((2, 0), 0.1))
         w = np.array([1.0, -2.0, 3.0])
         out = honest_local_update(prob, [0, 1], w, 1, sched, FULL, 7)
         assert out.shape == (2, 3)
@@ -48,7 +49,7 @@ class TestHonestLocalUpdate:
     def test_1d_quadratic_hand_case(self):
         # Each step multiplies by (1 - eta): 8 * 0.5^3 = 1.
         prob = quadratic_1d()
-        sched = Schedule.uniform(3, 0.5)
+        sched = Schedule.uniform(3, 0.5, 1)
         out = honest_local_update(prob, [0], np.array([8.0]), 1, sched, FULL, 0)
         assert out[0, 0] == pytest.approx(1.0, rel=1e-14)
 
@@ -64,7 +65,7 @@ class TestHonestLocalUpdate:
             K = int(rng.integers(1, 8))
             g = gamma(eta, c.mu, c.L_const, 0.0)
             w_t = rng.standard_normal(4) * 3
-            z = honest_local_update(prob, [0], w_t, 1, Schedule.uniform(K, eta), FULL, seed)[0]
+            z = honest_local_update(prob, [0], w_t, 1, Schedule.uniform(K, eta, 3), FULL, seed)[0]
             lhs = np.linalg.norm(z - w_star) ** 2
             rhs = g**K * np.linalg.norm(w_t - w_star) ** 2
             assert lhs <= rhs * (1 + 1e-9)
@@ -74,7 +75,7 @@ class TestHonestLocalUpdate:
         c = constants(prob)
         w_star, _ = optimum(prob)
         _, eta_max = stable_eta_range(c.mu, c.L_const, 0.0)
-        sched = Schedule.uniform(1, 0.8 * eta_max)
+        sched = Schedule.uniform(1, 0.8 * eta_max, 2)
         w = substream(4, "w0").standard_normal(5) * 2
         prev = np.linalg.norm(w - w_star)
         for k in range(30):
@@ -89,7 +90,7 @@ class TestHonestLocalUpdate:
         # which client m reads its own row.
         prob = make_synthetic(p=4, M=3, S_per_user=20, seed=5, heterogeneity=0.4)
         mode = OracleSpec(kind="relative_noise", delta=0.3)
-        sched = Schedule(steps=lambda t: 6, rate=lambda t, m, k: 0.01 * k + 0.002 * m)
+        sched = Schedule(steps=lambda t: 6, rates=lambda t: 0.01 * np.arange(1, 7) + 0.002 * np.arange(3)[:, None])
         seed, t, m = 11, 4, 2
         w_t = substream(seed, "wt").standard_normal(4)
         z = honest_local_update(prob, [0, m], w_t, t, sched, mode, seed)[1]
@@ -100,8 +101,8 @@ class TestHonestLocalUpdate:
             g = global_gradient(prob, w)
             u = substream(seed, "grad", t, k).standard_normal((prob.n_users, 4))[m]
             g = g + 0.3 * np.linalg.norm(g) * u / np.linalg.norm(u)
-            total += sched.rate(t, m, k) * g
-            w = w - sched.rate(t, m, k) * g
+            total += sched.rates(t)[m, k - 1] * g
+            w = w - sched.rates(t)[m, k - 1] * g
         assert np.linalg.norm(z - (w_t - total)) <= 1e-12 * max(1.0, np.linalg.norm(z))
 
     @pytest.mark.parametrize("kind", LOSSES, ids=lambda k: type(k).__name__)
@@ -110,7 +111,7 @@ class TestHonestLocalUpdate:
         # A client's upload is bitwise the same in the full honest batch, in a
         # reversed subset and alone.
         prob = make_synthetic(p=5, M=7, S_per_user=12, seed=8, heterogeneity=0.7, loss_kind=kind)
-        sched = Schedule(steps=lambda t: 4, rate=lambda t, m, k: 0.05 + 0.01 * m)
+        sched = Schedule(steps=lambda t: 4, rates=lambda t: np.repeat(0.05 + 0.01 * np.arange(7)[:, None], 4, axis=1))
         w_t = substream(3, "wt").standard_normal(5)
         honest = [0, 1, 2, 3, 4, 5]
         full = honest_local_update(prob, honest, w_t, 2, sched, mode, 17)
@@ -125,7 +126,7 @@ class TestHonestLocalUpdate:
             for m in honest:
                 w = w_t.copy()
                 for k in range(1, 5):
-                    w -= sched.rate(2, m, k) * local_gradient(prob, m, w)
+                    w -= sched.rates(2)[m, k - 1] * local_gradient(prob, m, w)
                 assert np.array_equal(full[m], w)
         else:
             assert not np.array_equal(full[0], honest_local_update(prob, [0], w_t, 3, sched, mode, 17)[0])
@@ -133,7 +134,7 @@ class TestHonestLocalUpdate:
     def test_reproducible_and_order_independent(self):
         prob = make_synthetic(p=3, M=4, S_per_user=15, seed=6, heterogeneity=0.5)
         mode = OracleSpec(kind="relative_noise", delta=0.5)
-        sched = Schedule.uniform(3, 0.05)
+        sched = Schedule.uniform(3, 0.05, 4)
         w_t = np.ones(3)
         first = honest_local_update(prob, [0, 1, 2, 3], w_t, 2, sched, mode, 9)
         second = honest_local_update(prob, [3, 2, 1, 0], w_t, 2, sched, mode, 9)
@@ -141,9 +142,28 @@ class TestHonestLocalUpdate:
 
     def test_rejects_bad_rate(self):
         prob = make_synthetic(p=2, M=1, S_per_user=5, seed=7)
-        sched = Schedule(steps=lambda t: 1, rate=lambda t, m, k: 0.0)
+        sched = Schedule(steps=lambda t: 1, rates=lambda t: np.zeros((1, 1)))
         with pytest.raises(ValueError):
             honest_local_update(prob, [0], np.zeros(2), 1, sched, FULL, 0)
+
+    def test_bad_rate_error_names_first_in_step_then_batch_order(self):
+        # Scanned step by step, and within a step in the order of ``ids``.
+        prob = make_synthetic(p=2, M=3, S_per_user=5, seed=7)
+        rates = np.full((3, 3), 0.1)
+        rates[0, 2] = rates[2, 1] = rates[1, 1] = 0.0
+        sched = Schedule(steps=lambda t: 3, rates=lambda t: rates)
+        with pytest.raises(ValueError, match=r"rate\(4, 2, 2\)"):
+            honest_local_update(prob, [0, 2, 1], np.zeros(2), 4, sched, FULL, 0)
+        with pytest.raises(ValueError, match=r"rate\(4, 1, 2\)"):
+            honest_local_update(prob, [0, 1, 2], np.zeros(2), 4, sched, FULL, 0)
+        with pytest.raises(ValueError, match=r"rate\(4, 0, 3\)"):
+            honest_local_update(prob, [0], np.zeros(2), 4, sched, FULL, 0)
+
+    def test_rejects_rates_not_matching_steps(self):
+        prob = make_synthetic(p=2, M=2, S_per_user=5, seed=7)
+        sched = Schedule(steps=lambda t: 2, rates=lambda t: np.full((2, 3), 0.1))
+        with pytest.raises(ValueError, match="shape"):
+            honest_local_update(prob, [0, 1], np.zeros(2), 1, sched, FULL, 0)
 
     def test_minibatch_never_reads_padding(self, tmp_path):
         # Users hold 3, 9 and 5 samples, so the stacked data carries zero
@@ -207,11 +227,37 @@ class TestByzantineMessage:
         assert np.all(np.abs(draws.mean(axis=0) - center) <= 0.02)
 
 
+    @pytest.mark.parametrize("mean_mode", ["zero", "honest_center"])
+    @pytest.mark.parametrize("kind", ["zero", "fixed", "sign_flip", "gaussian"])
+    def test_one_call_block_equals_per_client_loop(self, kind, mean_mode):
+        # A round's Byzantine rows from one call, as the server fills them,
+        # equal one call per client row bit for bit.
+        vector = [7.0, -7.0, 0.5] if kind == "fixed" else None
+        attack = AttackSpec(kind=kind, sigma=3.0, mean_mode=mean_mode, scale=2.5, vector=vector)
+        H, M = 6, 10
+        w_t = substream(5, "wt").standard_normal(3)
+        noise = substream(5, "attack", 4).standard_normal((M, 3))
+        block = np.empty((M, 3))
+        block[H:] = byzantine_message(attack, w_t, noise[H:], honest_center=w_t)
+        loop = np.empty((M, 3))
+        for m in range(H, M):
+            loop[m] = byzantine_message(attack, w_t, noise[m], honest_center=w_t)
+        assert np.array_equal(block[H:].view(np.int64), loop[H:].view(np.int64))
+
+
 class TestSchedules:
     def test_uniform_markers(self):
-        s = Schedule.uniform(4, 0.2)
+        s = Schedule.uniform(4, 0.2, 3)
         assert s.is_uniform and s.uniform_K == 4 and s.uniform_eta == 0.2
-        assert s.steps(99) == 4 and s.rate(3, 1, 2) == 0.2
+        assert s.steps(99) == 4 and s.rates(3)[1, 1] == 0.2
+        assert s.rates(3).shape == (3, 4) and np.all(s.rates(3) == 0.2)
+
+    def test_constant_rates_one_row_per_client(self):
+        steps = {1: 2, 2: 0, 3: 5}.__getitem__
+        rates = constant_rates([0.1, 0.2, 0.3], 3, steps)
+        assert rates(1).shape == (3, 2) and rates(2).shape == (3, 0)
+        assert np.array_equal(rates(3), np.repeat([[0.1], [0.2], [0.3]], 5, axis=1))
+        assert np.array_equal(constant_rates(0.4, 2, steps)(1), np.full((2, 2), 0.4))
 
     def test_floor_decay_verbatim_form(self):
         # Constant K1 below the horizon, zero at it.

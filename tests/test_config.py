@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from byzfl.config import (
@@ -92,6 +93,27 @@ class TestParsing:
             ScheduleSpec(kind="general", steps_cycle=[])
         with pytest.raises(ConfigError):
             ScheduleSpec(kind="warmup")
+
+    def test_type_validation(self):
+        # Bools are not counts or numbers; numpy scalars are.
+        for bad in (
+            lambda: ExperimentConfig(n_byzantine=True),
+            lambda: ExperimentConfig(rounds=5.0),
+            lambda: ExperimentConfig(override_half_plus=1),
+            lambda: SyntheticProblemSpec(p=True),
+            lambda: AttackSpec(sigma=False),
+            lambda: AttackSpec(kind="fixed", vector=["1"]),
+            lambda: AggregatorSpec(max_iters=10.0),
+            lambda: ScheduleSpec(kind="uniform", steps=True),
+            lambda: ScheduleSpec(kind="linear_decay", eta="0.1"),
+            lambda: ScheduleSpec(kind="general", steps_cycle=[2.7]),
+            lambda: ScheduleSpec(kind="general", client_etas="typo"),
+        ):
+            with pytest.raises(ConfigError):
+                bad()
+        assert ExperimentConfig(rounds=np.int64(3), attack=AttackSpec(sigma=np.float64(2.0))).rounds == 3
+        with pytest.raises(ConfigError, match="must be a JSON object"):
+            ExperimentConfig.from_dict({"attack": 3})
 
     def test_csv_problem_kind(self, tmp_path):
         payload = {"problem": {"kind": "csv", "paths": ["a.csv", "b.csv", "c.csv"]}, "n_byzantine": 1}

@@ -10,7 +10,7 @@ from byzfl.config import (
     ScheduleSpec,
     SyntheticProblemSpec,
 )
-from byzfl import server
+from byzfl import server, theory
 from byzfl.problems import global_gradient
 from byzfl.rng import substream
 from byzfl.server import (
@@ -93,6 +93,22 @@ class TestRunRound:
         _, _, rec = run_round(prep, prep.w1, 1)
         assert rec.theorem1_bound is not None
         assert rec.theorem2_bound == pytest.approx(rec.theorem1_bound, rel=1e-12)
+
+    def test_cached_uniform_multiplier_equals_per_round_product(self):
+        # A uniform schedule's multiplier is computed once by prepare; the
+        # bounds equal the product of per-round multipliers bit for bit.
+        prep = prepare(small_config(rounds=30))
+        assert prep.theorem2_multiplier is not None
+        c, H = prep.consts, len(prep.honest_ids)
+        cum = 1.0
+        for rec in run_prepared(prep):
+            rates = prep.schedule.rates(rec.t)[:H]
+            cum *= theory.theorem2_round_multiplier(rec.t, rates, c.mu, c.L_const, c.delta, prep.M, prep.B)
+            assert rec.theorem2_bound == 0.5 * c.L_const * prep.w1_gap_sq * cum
+        half = small_config(n_byzantine=4, override_half_plus=True, schedule=ScheduleSpec(steps=3))
+        assert prepare(half).theorem2_multiplier is None
+        general = ScheduleSpec(kind="general", steps_cycle=[2, 4], eta_range=[0.5, 1.0])
+        assert prepare(small_config(schedule=general)).theorem2_multiplier is None
 
     def test_theorem1_none_for_general_schedule(self):
         cfg = small_config(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -177,19 +178,29 @@ class TestTheorem1Bound:
                 assert g ** (k - 1) * cb2 >= 1.0
 
 
-def uniform_rate(eta):
-    return lambda t, m, k: eta
+def uniform_rates(eta, K, H):
+    """A round's (H, K) honest rate array with every rate eta."""
+    return np.full((H, K), eta)
 
 
-def uniform_steps(K):
-    return lambda t: K
+def loop_multiplier(rates, mu, L, delta, M, B):
+    """Reference: the round multiplier as a scalar double loop over clients, then steps."""
+    total = 0.0
+    negative = []
+    for m in range(M - B):
+        prod = 1.0
+        for k in range(rates.shape[1]):
+            g = theory.gamma(float(rates[m, k]), mu, L, delta)
+            if g <= 0.0:
+                negative.append((m, k + 1))
+            prod *= g
+        total += prod
+    return theory.c_beta(B / M) ** 2 / (M - B) * total, negative
 
 
 class TestTheorem2:
     def test_round_zero(self):
-        val = theory.theorem2_bound(
-            0, uniform_rate(0.1), uniform_steps(3), (0, 1), 1.0, 2.0, 0.0, 3, 1, 2.0, 5.0
-        )
+        val = theory.theorem2_bound(0, lambda i: uniform_rates(0.1, 3, 2), 1.0, 2.0, 0.0, 3, 1, 2.0, 5.0)
         assert val == pytest.approx(5.0)
 
     def test_hand_case_round_multiplier(self):
@@ -197,10 +208,8 @@ class TestTheorem2:
         # mu = L = 1, gamma(eta) = (1-eta)^2, so single-step products of
         # 0.5 and 0.3 give round multiplier 2 * (0.5 + 0.3) = 1.6.
         mu, L = 1.0, 1.0
-        rates = {0: 1 - math.sqrt(0.5), 1: 1 - math.sqrt(0.3)}
-        mult = theory.theorem2_round_multiplier(
-            1, lambda t, m, k: rates[m], uniform_steps(1), (0, 1), mu, L, 0.0, 2, 0
-        )
+        rates = np.array([[1 - math.sqrt(0.5)], [1 - math.sqrt(0.3)]])
+        mult = theory.theorem2_round_multiplier(1, rates, mu, L, 0.0, 2, 0)
         assert mult == pytest.approx(1.6, rel=1e-12)
 
     def test_uniform_reduces_to_theorem1(self):
@@ -218,50 +227,71 @@ class TestTheorem2:
             p = theory.TheoryParams(
                 eta=eta, mu=mu, L_const=L, delta=delta, M=M, B=B, K=K, w1_gap_sq=gap
             )
-            honest = tuple(range(M - B))
+            rates = uniform_rates(eta, K, M - B)
             for t in (0, 1, 2, 5, 17, 100):
                 b1 = theory.theorem1_bound(t, p)
-                b2 = theory.theorem2_bound(
-                    t, uniform_rate(eta), uniform_steps(K), honest, mu, L, delta, M, B, L, gap
-                )
+                b2 = theory.theorem2_bound(t, lambda i: rates, mu, L, delta, M, B, L, gap)
                 assert b2 == pytest.approx(b1, rel=1e-12)
 
     def test_nonpositive_factor_flagged_but_evaluated(self):
         # mu = L = 1, eta = 1 gives a per-step factor of exactly 0.
         with pytest.warns(RuntimeWarning):
-            val = theory.theorem2_round_multiplier(
-                1, uniform_rate(1.0), uniform_steps(2), (0, 1), 1.0, 1.0, 0.0, 2, 0
-            )
+            val = theory.theorem2_round_multiplier(1, uniform_rates(1.0, 2, 2), 1.0, 1.0, 0.0, 2, 0)
         assert val == 0.0
+
+    def test_vectorised_multiplier_equals_double_loop_bitwise(self):
+        # Random general schedules: per-client, per-step rates, K = 0
+        # included, some draws past eta_max (factors > 1) and some exactly
+        # at mu = L = 1, eta = 1 (factor 0, warned).
+        rng = np.random.default_rng(11)
+        for case in range(300):
+            mu = float(rng.uniform(0.2, 1.0))
+            L = mu * float(rng.uniform(1.0, 3.0))
+            delta = float(rng.uniform(0.0, 1.0))
+            M = int(rng.integers(1, 30))
+            B = int(rng.integers(0, (M - 1) // 2 + 1))
+            K = int(rng.integers(0, 9))
+            _, eta_max = theory.stable_eta_range(mu, L, delta)
+            rates = rng.uniform(0.01, 1.3, size=(M - B, K)) * eta_max
+            if case % 10 == 0:
+                mu = L = 1.0
+                delta = 0.0
+                rates[rng.random(rates.shape) < 0.3] = 1.0
+            expected, negative = loop_multiplier(rates, mu, L, delta, M, B)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = theory.theorem2_round_multiplier(case, rates, mu, L, delta, M, B)
+            assert np.float64(got).view(np.int64) == np.float64(expected).view(np.int64), case
+            assert len(caught) == (1 if negative else 0)
+            if negative:
+                assert str(negative[:3]) in str(caught[0].message)
+
+    def test_rejects_nonpositive_rate_and_wrong_row_count(self):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            theory.theorem2_round_multiplier(1, np.array([[0.1, 0.0]]), 1.0, 1.0, 0.0, 1, 0)
+        with pytest.raises(ValueError, match="honest rate rows"):
+            theory.theorem2_round_multiplier(1, uniform_rates(0.1, 2, 3), 1.0, 1.0, 0.0, 5, 1)
 
 
 class TestZeroGapCondition:
     def test_uniform_equivalence_with_contraction(self):
         mu, L, delta = 1.0, 2.0, 0.0
         M, B = 10, 2
-        honest = tuple(range(M - B))
         _, eta_max = theory.stable_eta_range(mu, L, delta)
         eta = 0.5 * eta_max
         g = theory.gamma(eta, mu, L, delta)
         for K in range(1, 40):
-            cond = theory.zero_gap_condition(
-                1, uniform_rate(eta), uniform_steps(K), honest, mu, L, delta, M, B
-            )
+            cond = theory.zero_gap_condition(1, uniform_rates(eta, K, M - B), mu, L, delta, M, B)
             assert cond == (g**K * theory.c_beta(B / M) ** 2 < 1.0)
 
     def test_hand_case_honest_sum(self):
         # M=10, B=2: threshold (M-B)/C_beta^2 = 8 / (8/3)^2 = 1.125.
         # All-one factors (K=0 steps) give sum = 8 -> False.
         M, B = 10, 2
-        honest = tuple(range(8))
-        cond = theory.zero_gap_condition(
-            1, uniform_rate(0.1), lambda t: 0, honest, 1.0, 1.0, 0.0, M, B
-        )
+        cond = theory.zero_gap_condition(1, uniform_rates(0.1, 0, 8), 1.0, 1.0, 0.0, M, B)
         assert cond is False
         # Single-step factors 0.125 each give sum 1.0 < 1.125 -> True.
         # gamma(eta) = (1-eta)^2 = 0.125 -> eta = 1 - sqrt(0.125)
         eta = 1 - math.sqrt(0.125)
-        cond = theory.zero_gap_condition(
-            1, uniform_rate(eta), lambda t: 1, honest, 1.0, 1.0, 0.0, M, B
-        )
+        cond = theory.zero_gap_condition(1, uniform_rates(eta, 1, 8), 1.0, 1.0, 0.0, M, B)
         assert cond is True
