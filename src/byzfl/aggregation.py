@@ -220,8 +220,9 @@ def geometric_median(points, spec: AggregatorSpec | None = None) -> AggregateRes
 
 
 def mean(points) -> np.ndarray:
-    """Arithmetic average of the points."""
-    return _as_matrix(points).mean(axis=0)
+    """Arithmetic average of the points, taken about the first so that equal points return it exactly."""
+    pts = _as_matrix(points)
+    return pts[0] + (pts - pts[0]).mean(axis=0)
 
 
 def coordinate_median(points) -> np.ndarray:
@@ -230,15 +231,12 @@ def coordinate_median(points) -> np.ndarray:
 
 
 def trimmed_mean(points, trim_fraction: float) -> np.ndarray:
-    """Per-coordinate mean after dropping floor(trim_fraction * n) values from each tail."""
+    """Per-coordinate ``mean`` after dropping floor(trim_fraction * n) values from each tail."""
     pts = _as_matrix(points)
     if not 0.0 <= trim_fraction < 0.5:
         raise ValueError(f"trim_fraction must lie in [0, 0.5), got {trim_fraction}")
     k = int(np.floor(trim_fraction * pts.shape[0]))
-    if k == 0:
-        return pts.mean(axis=0)
-    ordered = np.sort(pts, axis=0)
-    return ordered[k:-k].mean(axis=0)
+    return mean(np.sort(pts, axis=0)[k:-k] if k else pts)
 
 
 def ball_robustness_check(

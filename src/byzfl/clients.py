@@ -100,14 +100,14 @@ def honest_local_update(
 def byzantine_message(
     attack: AttackSpec,
     w_t: np.ndarray,
-    noise: np.ndarray,
+    noise: np.ndarray | None,
     honest_center: np.ndarray | None = None,
 ) -> np.ndarray:
     """Generate the Byzantine uploads for one round, of the broadcast's dimension.
 
     ``noise`` holds one row of standard normals per Byzantine client (or is
-    one such row); only the gaussian attack reads it, returning row m as
-    center + sigma * noise[m], and its 'honest_center' mode centers at
+    one such row, or None); only the gaussian attack reads it, returning row
+    m as center + sigma * noise[m], and its 'honest_center' mode centers at
     ``honest_center`` (the broadcast when not given). The other attacks
     return one vector, which every Byzantine client uploads.
     """

@@ -63,6 +63,12 @@ def _check_types(spec, where: str, **kinds) -> None:
             raise ConfigError(f"{where}{name} must be of type {expected}, got {getattr(spec, name)!r}")
 
 
+def _check_reg(spec) -> None:
+    """Ridge takes reg >= 0; logistic needs reg > 0, as its unpenalized loss is not strongly convex."""
+    if spec.reg < 0 or (spec.loss == "logistic" and spec.reg == 0):
+        raise ConfigError(f"problem.reg must be >= 0 for ridge and > 0 for logistic loss, got {spec.reg}")
+
+
 @dataclass(frozen=True)
 class SyntheticProblemSpec:
     kind: str = "synthetic"
@@ -83,8 +89,7 @@ class SyntheticProblemSpec:
             raise ConfigError("problem.p, n_users, samples_per_user must be >= 1")
         if not 0.0 <= self.heterogeneity <= 1.0:
             raise ConfigError(f"problem.heterogeneity must lie in [0, 1], got {self.heterogeneity}")
-        if self.reg < 0:
-            raise ConfigError(f"problem.reg must be nonnegative, got {self.reg}")
+        _check_reg(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticProblemSpec":
@@ -111,6 +116,7 @@ class CsvProblemSpec:
             raise ConfigError("problem.paths must name at least one CSV file")
         if self.loss not in ("ridge", "logistic"):
             raise ConfigError(f"problem.loss must be 'ridge' or 'logistic', got {self.loss!r}")
+        _check_reg(self)
 
     @property
     def n_users(self) -> int:

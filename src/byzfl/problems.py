@@ -328,59 +328,25 @@ def local_stoch_grad(
     return G + oracle.delta * np.linalg.norm(G, axis=1, keepdims=True) * D
 
 
-def _lambda_max(H: np.ndarray, rtol: float = 1e-12, max_iters: int = 200_000) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
-    p = H.shape[0]
-    v = np.ones(p) + 1e-3 * np.arange(p)  # deterministic, generically not orthogonal to the top eigenvector
-    v /= np.linalg.norm(v)
-    prev = np.inf
-    rq = 0.0
-    for _ in range(max_iters):
-        Hv = H @ v
-        rq = float(v @ Hv)
-        norm = np.linalg.norm(Hv)
-        if norm == 0.0:
-            return 0.0
-        v = Hv / norm
-        if abs(rq - prev) <= rtol * max(abs(rq), np.finfo(np.float64).tiny):
-            break
-        prev = rq
-    return float(v @ (H @ v))
-
-
-def _lambda_min(H: np.ndarray, rtol: float = 1e-12, max_iters: int = 200_000) -> float:
-    """Smallest eigenvalue of a symmetric PD matrix by inverse power iteration."""
-    p = H.shape[0]
-    v = np.ones(p) + 1e-3 * np.arange(p)
-    v /= np.linalg.norm(v)
-    prev = np.inf
-    for _ in range(max_iters):
-        z = np.linalg.solve(H, v)
-        rq_inv = float(v @ z)  # Rayleigh quotient of H^{-1}
-        v = z / np.linalg.norm(z)
-        if abs(rq_inv - prev) <= rtol * max(abs(rq_inv), np.finfo(np.float64).tiny):
-            break
-        prev = rq_inv
-    return float(v @ (H @ v))
-
-
 def constants(problem: Problem, oracle: OracleSpec | None = None) -> SmoothnessConstants:
     """Certified (mu, L) for the global loss, plus the oracle's delta.
 
-    Ridge: extreme eigenvalues of the regularized Hessian, each from a
-    dedicated power / inverse-power iteration. Logistic: L from the 1/4
-    curvature cap of the sigmoid plus lam, and the conservative mu = lam.
-    delta echoes a relative_noise oracle's level and is 0 otherwise (for
-    minibatch too, whose noise is not relatively bounded - see OracleSpec).
+    One symmetric eigendecomposition (ascending ``eigvalsh``). Ridge: the
+    extreme eigenvalues of the regularized Hessian, which must be positive
+    definite within the ``matrix_rank`` tolerance (else LinAlgError).
+    Logistic: 1/4 of the Gram's largest eigenvalue (the sigmoid's curvature
+    cap) plus lam, and the conservative mu = lam. delta echoes a
+    relative_noise oracle's level and is 0 otherwise (for minibatch too,
+    whose noise is not relatively bounded - see OracleSpec).
     """
     delta = oracle.delta if oracle is not None and oracle.kind == "relative_noise" else 0.0
     if isinstance(problem.loss_kind, Ridge):
-        H = problem._gram_global + problem.lam * np.eye(problem.dim)
-        L = _lambda_max(H)
-        # On a perfectly degenerate spectrum the two iterations agree only to
-        # rounding; mu <= L holds mathematically, so clamp the fp excess.
-        return SmoothnessConstants(mu=min(_lambda_min(H), L), L_const=L, delta=delta)
-    L = 0.25 * _lambda_max(problem._gram_global) + problem.lam
+        eigs = np.linalg.eigvalsh(problem._gram_global + problem.lam * np.eye(problem.dim))
+        if eigs[0] <= problem.dim * np.finfo(np.float64).eps * eigs[-1]:
+            msg = f"smallest eigenvalue {eigs[0]:.3e}, largest {eigs[-1]:.3e}; set problem.reg > 0"
+            raise np.linalg.LinAlgError(f"ridge Hessian is not positive definite: {msg}")
+        return SmoothnessConstants(mu=float(eigs[0]), L_const=float(eigs[-1]), delta=delta)
+    L = 0.25 * float(np.linalg.eigvalsh(problem._gram_global)[-1]) + problem.lam
     return SmoothnessConstants(mu=problem.lam, L_const=L, delta=delta)
 
 

@@ -281,8 +281,9 @@ def run_round(
         prep.problem, prep.honest_ids, w_t, t, prep.schedule, prep.oracle, prep.master_seed
     )
     if H < prep.M:
-        noise = substream(prep.master_seed, "attack", t).standard_normal(Z.shape)
-        Z[H:] = byzantine_message(prep.attack, w_t, noise[H:], honest_center=w_t)
+        gaussian = prep.attack.kind == "gaussian"
+        noise = substream(prep.master_seed, "attack", t).standard_normal(Z.shape)[H:] if gaussian else None
+        Z[H:] = byzantine_message(prep.attack, w_t, noise, honest_center=w_t)
 
     # Drop Byzantine uploads whose squared norm overflows (no distance to them
     # is representable); the rest stay under half corrupted. Honest ones mean

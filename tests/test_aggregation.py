@@ -261,6 +261,15 @@ class TestBaselines:
         with pytest.raises(ValueError):
             trimmed_mean([[0.0], [1.0]], 0.5)
 
+    def test_equal_points_return_the_point_exactly(self):
+        # np.mean of n copies of a row rounds away from it for most rows.
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            row = rng.standard_normal(4) * 10.0 ** rng.integers(-3, 4)
+            pts = np.tile(row, (rng.integers(1, 61), 1))
+            assert np.array_equal(mean(pts), row)
+            assert np.array_equal(trimmed_mean(pts, rng.uniform(0.0, 0.5)), row)
+
     def test_empty_rejected(self):
         for fn in (mean, coordinate_median):
             with pytest.raises(ValueError):

@@ -63,25 +63,40 @@ class TestRun:
         assert "B < M/2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "overrides",
+        "overrides, field",
         [
-            {"attack": {"kind": "gaussian", "sigma": -1.0}},
-            {"attack": {"kind": "gaussian", "mean_mode": "bogus"}},
-            {"attack": {"kind": "fixed", "vector": [1.0, math.inf, 0.0]}},
-            {"aggregator": {"kind": "geomed", "tol": 0.0}},
-            {"aggregator": {"kind": "geomed", "max_iters": 0}},
-            {"aggregator": {"kind": "geomed", "smoothing": -1.0}},
-            {"aggregator": {"kind": "trimmed_mean", "trim_fraction": 0.6}},
-            {"oracle": {"kind": "minibatch", "batch_size": 21}},
+            ({"attack": {"kind": "gaussian", "sigma": -1.0}}, "attack.sigma"),
+            ({"attack": {"kind": "gaussian", "mean_mode": "bogus"}}, "attack.mean_mode"),
+            ({"attack": {"kind": "fixed", "vector": [1.0, math.inf, 0.0]}}, "attack.vector"),
+            ({"aggregator": {"kind": "geomed", "tol": 0.0}}, "aggregator.tol"),
+            ({"aggregator": {"kind": "geomed", "max_iters": 0}}, "aggregator.max_iters"),
+            ({"aggregator": {"kind": "geomed", "smoothing": -1.0}}, "aggregator.smoothing"),
+            ({"aggregator": {"kind": "trimmed_mean", "trim_fraction": 0.6}}, "aggregator.trim_fraction"),
+            ({"oracle": {"kind": "minibatch", "batch_size": 21}}, "oracle.batch_size"),
+            ({"problem": {"loss": "logistic", "reg": 0.0}}, "problem.reg"),
+            # Two users and no Byzantine client, so only the reg check can fire.
+            ({"problem": {"kind": "csv", "paths": ["u0.csv", "u1.csv"], "reg": -1.0}, "n_byzantine": 0}, "problem.reg"),
         ],
-        ids=["sigma", "mean_mode", "vector", "tol", "max_iters", "smoothing", "trim_fraction", "batch_size"],
+        ids=[
+            "sigma",
+            "mean_mode",
+            "vector",
+            "tol",
+            "max_iters",
+            "smoothing",
+            "trim_fraction",
+            "batch_size",
+            "logistic-reg-0",
+            "csv-reg-negative",
+        ],
     )
-    def test_invalid_field_value_exit_2(self, tmp_path, capsys, overrides):
+    def test_invalid_field_value_exit_2(self, tmp_path, capsys, overrides, field):
         cfg = write_config(tmp_path, tiny_config(**overrides))
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == 2
         assert "config error" in err and "Traceback" not in err
+        assert field in err
 
     @pytest.mark.parametrize(
         "overrides",
@@ -186,6 +201,16 @@ class TestFailurePaths:
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 3
         assert "internal error" in capsys.readouterr().err
+
+    def test_rank_deficient_ridge_exit_3(self, tmp_path, capsys):
+        # 10 shared samples in 30 dimensions with no penalty: the Hessian has
+        # rank 10, so no mu > 0 exists.
+        problem = {"p": 30, "n_users": 5, "samples_per_user": 10, "reg": 0.0}
+        cfg = write_config(tmp_path, tiny_config(problem=problem))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "internal error" in err and "Traceback" not in err
+        assert "not positive definite" in err
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_byzantine_uploads_are_dropped(self, tmp_path, capsys):

@@ -245,6 +245,26 @@ class TestConstants:
             assert c.mu == pytest.approx(eigs[0], rel=1e-8)
             assert c.L_const == pytest.approx(eigs[-1], rel=1e-8)
 
+    def test_bounds_curvature_from_the_safe_side(self):
+        # An envelope is a bound only if mu <= lambda_min and L >= lambda_max,
+        # so compare with the Rayleigh quotients of the extreme eigenvectors.
+        for seed in range(8):
+            for h in (0.0, 0.3, 1.0):
+                prob = make_synthetic(p=10, M=5, S_per_user=50, seed=seed, heterogeneity=h)
+                H = prob._gram_global + prob.lam * np.eye(10)
+                _, V = np.linalg.eigh(H)
+                c = constants(prob)
+                assert c.L_const >= (V[:, -1] @ H @ V[:, -1]) * (1 - 1e-14)
+                assert c.mu <= (V[:, 0] @ H @ V[:, 0]) * (1 + 1e-14)
+
+                lam = 0.2
+                prob = make_synthetic(p=10, M=5, S_per_user=50, seed=seed, heterogeneity=h, loss_kind=Logistic(lam))
+                G = prob._gram_global
+                _, V = np.linalg.eigh(G)
+                c = constants(prob)
+                assert c.L_const >= (0.25 * (V[:, -1] @ G @ V[:, -1]) + lam) * (1 - 1e-14)
+                assert c.mu <= lam
+
     def test_mu_at_most_L(self):
         for seed in range(5):
             prob = make_synthetic(p=4, M=2, S_per_user=15, seed=seed, heterogeneity=0.8)

@@ -160,6 +160,26 @@ class TestByzantineKeying:
             # Client M-1 stays Byzantine as B grows, and its upload does not move.
             assert all(np.array_equal(z, last_client[0]) for z in last_client)
 
+    def test_noise_block_drawn_only_for_gaussian(self, monkeypatch):
+        purposes = []
+        real_substream = server.substream
+
+        def recording_substream(seed, purpose, *indices):
+            purposes.append(purpose)
+            return real_substream(seed, purpose, *indices)
+
+        monkeypatch.setattr(server, "substream", recording_substream)
+        rounds = 3
+        for attack in (
+            AttackSpec(kind="sign_flip"),
+            AttackSpec(kind="zero"),
+            AttackSpec(kind="fixed", vector=(1.0, 2.0, 3.0, 4.0)),
+            AttackSpec(kind="gaussian"),
+        ):
+            purposes.clear()
+            run_experiment(small_config(attack=attack, rounds=rounds))
+            assert purposes.count("attack") == (rounds if attack.kind == "gaussian" else 0), attack.kind
+
 
 class TestRunExperiment:
     def test_deterministic_trace(self):
