@@ -239,22 +239,17 @@ def trimmed_mean(points, trim_fraction: float) -> np.ndarray:
     return mean(np.sort(pts, axis=0)[k:-k] if k else pts)
 
 
-def ball_robustness_check(
-    points,
-    center,
-    radius: float,
-    q: int,
-    spec: AggregatorSpec | None = None,
-) -> bool:
-    """Check the deterministic ball guarantee of the geometric median.
+def ball_robustness_check(points, center, radius: float, q: int, value) -> bool:
+    """Check the deterministic ball guarantee on ``value``, the points' computed geometric median.
 
     Requires q < n/2 and at least n - q points within `radius` of `center`
     (verified, with a relative slack of 1e-9 on the radius for rounding in
-    the caller's sampling arithmetic). Returns True iff the computed median
-    lies within c_alpha * radius of the center.
+    the caller's sampling arithmetic). Returns True iff ``value`` lies
+    within c_alpha * radius of the center.
     """
     pts = _as_matrix(points)
     center = _check_vector(center, pts.shape[1])
+    value = _check_vector(value, pts.shape[1])
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     cert = RobustnessCert(n=pts.shape[0], q=int(q))
@@ -265,5 +260,4 @@ def ball_robustness_check(
             f"precondition violated: only {inside} of {cert.n} points lie within "
             f"radius {radius} of the center (need {cert.n - cert.q})"
         )
-    result = geometric_median(pts, spec)
-    return float(np.linalg.norm(result.value - center)) <= cert.c_alpha * radius
+    return float(np.linalg.norm(value - center)) <= cert.c_alpha * radius

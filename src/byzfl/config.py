@@ -44,15 +44,17 @@ def _require_keys(d: dict, where: str, required: set[str], optional: set[str]) -
         raise ConfigError(f"{where}: missing required keys {sorted(missing)}")
 
 
-_KIND_NAMES = {int: "integer", float: "number", str: "string", bool: "boolean"}
+_KIND_NAMES = {int: "integer", float: "finite number", str: "string", bool: "boolean"}
 
 
 def _is(value, kind) -> bool:
-    """int: a count; float: a real number (bools are neither); [kind]: a list of them."""
+    """int: a count; float: a finite real number (bools are neither); [kind]: a list of them."""
     if isinstance(kind, list):
         return isinstance(value, (list, tuple)) and all(_is(v, kind[0]) for v in value)
     kind = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+        return False
+    return kind is not numbers.Real or isinstance(value, numbers.Integral) or math.isfinite(value)
 
 
 def _check_types(spec, where: str, **kinds) -> None:
@@ -168,8 +170,6 @@ class AttackSpec:
         if self.vector is not None:
             _check_types(self, "attack.", vector=[float])
             object.__setattr__(self, "vector", tuple(float(v) for v in self.vector))
-            if not all(math.isfinite(v) for v in self.vector):
-                raise ConfigError(f"attack.vector must be finite, got {list(self.vector)}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "AttackSpec":
@@ -248,6 +248,8 @@ class ScheduleSpec:
         if not (self.client_etas is None or self.client_etas == "auto"):
             _check_types(self, "schedule.", client_etas=[float])
             object.__setattr__(self, "client_etas", tuple(float(v) for v in self.client_etas))
+            if not all(v > 0 for v in self.client_etas):
+                raise ConfigError(f"schedule.client_etas must all be positive, got {list(self.client_etas)}")
         object.__setattr__(self, "eta_range", tuple(float(v) for v in self.eta_range))
         object.__setattr__(self, "steps_cycle", tuple(int(v) for v in self.steps_cycle))
         if self.kind == "uniform":

@@ -1,15 +1,18 @@
 """Round orchestration: broadcast, collect uploads, aggregate, record.
 
 ``prepare`` turns a configuration into a fully resolved experiment (problem
-instance, certified constants, optimum, schedule with all "auto" values
-replaced); ``run_round``/``run_experiment`` execute the protocol and emit
+instance, certified constants, optimum, and the schedule: the config's
+``ScheduleSpec`` with every "auto" value replaced, which is also what the
+rounds read); ``run_round``/``run_experiment`` execute the protocol and emit
 one TraceRecord per round, carrying the measured optimality gap next to the
 theory envelopes so runs can be checked against the guarantees.
 
 Clients 0..M-B-1 are honest and M-B..M-1 Byzantine; row m of a round's
-upload matrix is client m's upload. All honest clients of a round run their
-local SGD as one batched update; Byzantine uploads take their noise from
-one block per round, keyed by (round), with a fixed row per client id.
+upload matrix is client m's upload. A round reads its honest rate array
+from the schedule once and hands it to both the honest clients, which run
+their local SGD as one batched update, and the Theorem-2 multiplier.
+Byzantine uploads take their noise from one block per round, keyed by
+(round), with a fixed row per client id.
 """
 
 import time
@@ -20,14 +23,7 @@ import numpy as np
 
 from . import theory
 from .aggregation import coordinate_median, geometric_median, mean, trimmed_mean
-from .clients import (
-    Schedule,
-    byzantine_message,
-    constant_rates,
-    floor_decay_steps,
-    honest_local_update,
-    linear_decay_steps,
-)
+from .clients import Schedule, byzantine_message, honest_local_update
 from .config import (
     AggregatorSpec,
     AttackSpec,
@@ -125,10 +121,8 @@ class PreparedExperiment:
     assumption_violating: bool
 
 
-def _resolve_schedule(
-    spec: ScheduleSpec, consts, M: int, B: int, master_seed: int
-) -> tuple[Schedule, ScheduleSpec]:
-    """Replace 'auto' markers with numbers and build the callable schedule."""
+def _resolve_schedule(spec: ScheduleSpec, consts, M: int, B: int, master_seed: int) -> ScheduleSpec:
+    """Replace 'auto' markers with numbers; the result is the run's schedule spec."""
     delta = consts.delta
     eta_star = consts.mu / (consts.L_const**2 * (1.0 + delta**2))
 
@@ -145,21 +139,12 @@ def _resolve_schedule(
             steps = theory.min_K(g, B / M)
         else:
             steps = int(spec.steps)
-        resolved = ScheduleSpec(kind="uniform", steps=steps, eta=eta)
-        if steps == 0:
-            # Degenerate no-update schedule; keep it runnable but non-uniform
-            # for bound purposes (K >= 1 is required by the envelope).
-            sched = Schedule(steps=lambda t: 0, rates=constant_rates(eta, M, lambda t: 0))
-        else:
-            sched = Schedule.uniform(steps, eta, M)
-        return sched, resolved
+        return ScheduleSpec(kind="uniform", steps=steps, eta=eta)
 
     if spec.kind == "general":
         if isinstance(spec.client_etas, tuple):
             if len(spec.client_etas) != M:
-                raise ConfigError(
-                    f"schedule.client_etas has {len(spec.client_etas)} entries, need M={M}"
-                )
+                raise ConfigError(f"schedule.client_etas has {len(spec.client_etas)} entries, need M={M}")
             etas = tuple(float(v) for v in spec.client_etas)
         else:
             # eta_range holds fractions of eta_max/2, which equals the
@@ -167,20 +152,10 @@ def _resolve_schedule(
             lo, hi = spec.eta_range
             draws = substream(master_seed, "etas").uniform(lo, hi, size=M)
             etas = tuple(float(u) * eta_star for u in draws)
-        cycle = spec.steps_cycle
-        resolved = ScheduleSpec(
-            kind="general", client_etas=etas, eta_range=spec.eta_range, steps_cycle=cycle
-        )
-        steps_fn = lambda t: cycle[(t - 1) % len(cycle)]  # noqa: E731
-        sched = Schedule(steps=steps_fn, rates=constant_rates(etas, M, steps_fn))
-        return sched, resolved
+        return ScheduleSpec(kind="general", client_etas=etas, eta_range=spec.eta_range, steps_cycle=spec.steps_cycle)
 
     eta = eta_star if spec.eta == "auto" else float(spec.eta)
-    decay = floor_decay_steps if spec.kind == "floor_decay" else linear_decay_steps
-    steps_fn = decay(spec.K1, spec.E)
-    resolved = ScheduleSpec(kind=spec.kind, eta=eta, K1=spec.K1, E=spec.E, steps="auto")
-    sched = Schedule(steps=steps_fn, rates=constant_rates(eta, M, steps_fn))
-    return sched, resolved
+    return ScheduleSpec(kind=spec.kind, eta=eta, K1=spec.K1, E=spec.E, steps="auto")
 
 
 def prepare(config: ExperimentConfig) -> PreparedExperiment:
@@ -224,21 +199,23 @@ def prepare(config: ExperimentConfig) -> PreparedExperiment:
         w1 = config.init.scale * substream(config.seed, "winit").standard_normal(problem.dim)
     w1_gap_sq = float(np.linalg.norm(w1 - w_star) ** 2)
 
-    schedule, resolved_schedule = _resolve_schedule(config.schedule, consts, M, B, config.seed)
+    spec = _resolve_schedule(config.schedule, consts, M, B, config.seed)
+    schedule = Schedule(spec, M)
 
+    # Uniform with K >= 1: the fixed-setup envelope, and one Theorem-2 multiplier for all rounds.
     theory1 = multiplier = None
-    if schedule.is_uniform and schedule.uniform_K >= 1 and 2 * B < M:
+    if spec.kind == "uniform" and spec.steps >= 1 and 2 * B < M:
         multiplier = theory.theorem2_round_multiplier(
             1, schedule.rates(1)[: M - B], consts.mu, consts.L_const, consts.delta, M, B
         )
         theory1 = theory.TheoryParams(
-            eta=schedule.uniform_eta,
+            eta=spec.eta,
             mu=consts.mu,
             L_const=consts.L_const,
             delta=consts.delta,
             M=M,
             B=B,
-            K=schedule.uniform_K,
+            K=spec.steps,
             w1_gap_sq=w1_gap_sq,
         )
 
@@ -254,7 +231,7 @@ def prepare(config: ExperimentConfig) -> PreparedExperiment:
         oracle=config.oracle,
         rounds=config.rounds,
         master_seed=config.seed,
-        resolved=replace(config, schedule=resolved_schedule).to_dict(),
+        resolved=replace(config, schedule=spec).to_dict(),
         theory1=theory1,
         theorem2_multiplier=multiplier,
         honest_ids=range(M - B),
@@ -276,10 +253,9 @@ def run_round(
     """
     start = time.perf_counter()
     H = len(prep.honest_ids)
+    rates = prep.schedule.rates(t)[:H]
     Z = np.empty((prep.M, w_t.shape[0]))
-    Z[:H] = honest_local_update(
-        prep.problem, prep.honest_ids, w_t, t, prep.schedule, prep.oracle, prep.master_seed
-    )
+    Z[:H] = honest_local_update(prep.problem, prep.honest_ids, w_t, t, rates, prep.oracle, prep.master_seed)
     if H < prep.M:
         gaussian = prep.attack.kind == "gaussian"
         noise = substream(prep.master_seed, "attack", t).standard_normal(Z.shape)[H:] if gaussian else None
@@ -304,7 +280,6 @@ def run_round(
         multiplier = prep.theorem2_multiplier
         if multiplier is None:
             c = prep.consts
-            rates = prep.schedule.rates(t)[:H]
             multiplier = theory.theorem2_round_multiplier(
                 t, rates, c.mu, c.L_const, c.delta, prep.M, prep.B
             )

@@ -24,6 +24,7 @@ from .config import (
     SyntheticProblemSpec,
 )
 from .problems import (
+    Logistic,
     Ridge,
     constants,
     global_gradient,
@@ -98,8 +99,8 @@ def ball_robustness_cases(n_cases: int = 10_000, seed: int = 2024) -> list[dict]
 
         pts = np.concatenate([honest, attackers]) if q else honest
 
-        ok = ball_robustness_check(pts, center, radius, q, spec)
         result = geometric_median(pts, spec)
+        ok = ball_robustness_check(pts, center, radius, q, result.value)
         cert_ok = True
         detail = ""
         if p == 2:
@@ -214,8 +215,33 @@ def geomed_suite(seed: int = 2024, n_ball: int = 10_000) -> list[PropertyResult]
     ]
 
 
+def _curvature_cases(n_cases: int = 200, seed: int = 2027) -> list[dict]:
+    """mu and L on the safe side of the Hessian's extreme Rayleigh quotients, on random problems.
+
+    An envelope is a bound only if mu <= lambda_min and L >= lambda_max.
+    Even cases are ridge, with Hessian H = G + lam, odd ones logistic, whose
+    curvature is capped by H = 0.25 * G + lam; H's eigenvectors come from
+    ``np.linalg.eigh``, and the slack is 1e-14 relative.
+    """
+    rng = np.random.default_rng(seed)
+    failures = []
+    for case in range(n_cases):
+        p = int(rng.integers(1, 21))
+        lam = float(rng.uniform(0.05, 1.0))
+        M, S, data_seed = int(rng.integers(1, 9)), int(rng.integers(p, 61)), int(rng.integers(0, 2**31))
+        kind = Logistic(lam) if case % 2 else Ridge(lam)
+        problem = make_synthetic(p, M, S, data_seed, heterogeneity=float(rng.uniform(0.0, 1.0)), loss_kind=kind)
+        consts = constants(problem)
+        H = (0.25 if case % 2 else 1.0) * problem._gram_global + lam * np.eye(p)
+        _, V = np.linalg.eigh(H)
+        lo, hi = float(V[:, 0] @ H @ V[:, 0]), float(V[:, -1] @ H @ V[:, -1])
+        if consts.L_const < hi * (1 - 1e-14) or consts.mu > lo * (1 + 1e-14):
+            failures.append({"case": case, "mu": consts.mu, "lambda_min": lo, "L": consts.L_const, "lambda_max": hi})
+    return failures
+
+
 def assumptions_suite(seed: int = 2025, n_pairs: int = 1000, n_noise: int = 100_000) -> list[PropertyResult]:
-    """Certify curvature constants and oracle statistics on a ridge problem."""
+    """Certify curvature constants and oracle statistics on a ridge problem, and mu and L on random ones."""
     problem = make_synthetic(p=8, M=5, S_per_user=60, seed=seed, heterogeneity=0.3, loss_kind=Ridge(lam=0.3))
     consts = constants(problem)
     rng = np.random.default_rng(seed)
@@ -257,6 +283,7 @@ def assumptions_suite(seed: int = 2025, n_pairs: int = 1000, n_noise: int = 100_
         PropertyResult("strong-convexity-pairs", n_pairs, strong),
         PropertyResult("smoothness-pairs", n_pairs, smooth),
         PropertyResult("mu-below-L", 1, order),
+        PropertyResult("curvature-extremes", 200, _curvature_cases(200, seed + 2)),
         PropertyResult("relative-noise-ratio", n_noise, ratio_fail),
     ]
 

@@ -61,7 +61,7 @@ def finite_diff_gradient(f, w, h=1e-6):
 def test_criterion_01_theorem1_deterministic_envelope():
     start = time.monotonic()
     prep = prepare(base_config())
-    assert prep.schedule.uniform_K == min_K(prep.theory1.gamma, 0.2)
+    assert prep.schedule.spec.steps == min_K(prep.theory1.gamma, 0.2)
     records = run_prepared(prep)
     for rec in records:
         assert rec.optimality_gap <= rec.theorem1_bound + 1e-9, (rec.t, rec.optimality_gap, rec.theorem1_bound)
@@ -69,7 +69,7 @@ def test_criterion_01_theorem1_deterministic_envelope():
     assert elapsed < 10.0, f"criterion 1 took {elapsed:.1f}s"
     print(
         f"\n[PASS] criterion 1: gap under the fixed-schedule envelope at all 200 rounds "
-        f"(K={prep.schedule.uniform_K}, {elapsed:.1f}s)"
+        f"(K={prep.schedule.spec.steps}, {elapsed:.1f}s)"
     )
 
 

@@ -299,7 +299,7 @@ class TestRobustness:
 
     def test_majority_coincidence_radius_zero(self):
         pts = [np.zeros(2), np.zeros(2), np.array([1e6, 1e6])]
-        assert ball_robustness_check(pts, np.zeros(2), 0.0, q=1)
+        assert ball_robustness_check(pts, np.zeros(2), 0.0, q=1, value=geometric_median(pts).value)
 
     def test_hand_case_alpha_04(self):
         # Three honest within radius 1 of the origin, two far away:
@@ -311,7 +311,7 @@ class TestRobustness:
             np.array([500.0, -200.0]),
             np.array([-1000.0, 1e6]),
         ]
-        assert ball_robustness_check(pts, np.zeros(2), 1.0, q=2)
+        assert ball_robustness_check(pts, np.zeros(2), 1.0, q=2, value=geometric_median(pts).value)
         res = geometric_median(pts)
         assert np.linalg.norm(res.value) <= 6.0
         best = grid_min_2d(pts, (0.0, 0.0), 6.5, n=201)
@@ -320,12 +320,12 @@ class TestRobustness:
     def test_rejects_q_at_half(self):
         pts = [np.zeros(2)] * 5
         with pytest.raises(ValueError):
-            ball_robustness_check(pts, np.zeros(2), 1.0, q=3)
+            ball_robustness_check(pts, np.zeros(2), 1.0, q=3, value=geometric_median(pts).value)
 
     def test_rejects_violated_precondition(self):
         pts = [np.array([10.0, 0.0]), np.array([20.0, 0.0]), np.array([30.0, 0.0])]
         with pytest.raises(ValueError):
-            ball_robustness_check(pts, np.zeros(2), 0.5, q=1)
+            ball_robustness_check(pts, np.zeros(2), 0.5, q=1, value=geometric_median(pts).value)
 
     def test_tight_cluster_far_from_origin_converges(self):
         # Worst case for float64: 40 honest points within r = 1e-8 of a

@@ -76,6 +76,9 @@ class TestRun:
             ({"problem": {"loss": "logistic", "reg": 0.0}}, "problem.reg"),
             # Two users and no Byzantine client, so only the reg check can fire.
             ({"problem": {"kind": "csv", "paths": ["u0.csv", "u1.csv"], "reg": -1.0}, "n_byzantine": 0}, "problem.reg"),
+            ({"aggregator": {"kind": "geomed", "tol": math.nan}}, "aggregator.tol"),
+            ({"schedule": {"kind": "general", "eta_range": [0.5, math.inf]}}, "schedule.eta_range"),
+            ({"schedule": {"kind": "general", "client_etas": [0.1, 0.1, -0.1, 0.1, 0.1, 0.1]}}, "schedule.client_etas"),
         ],
         ids=[
             "sigma",
@@ -88,6 +91,9 @@ class TestRun:
             "batch_size",
             "logistic-reg-0",
             "csv-reg-negative",
+            "tol-nan",
+            "eta_range-inf",
+            "client_etas-negative",
         ],
     )
     def test_invalid_field_value_exit_2(self, tmp_path, capsys, overrides, field):
@@ -136,8 +142,18 @@ class TestRun:
         main(["run", "--config", cfg, "--seed", "2", "--out", str(b)])
         assert (a / "trace.jsonl").read_bytes() != (b / "trace.jsonl").read_bytes()
 
-    def test_resolved_config_reproduces_run(self, tmp_path):
-        cfg = write_config(tmp_path, tiny_config(schedule={"kind": "general", "steps_cycle": [2, 3]}))
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            {"kind": "uniform", "steps": "auto", "eta": "auto"},
+            {"kind": "general", "steps_cycle": [2, 3]},
+            {"kind": "floor_decay", "K1": 3, "E": 5},
+            {"kind": "linear_decay", "K1": 3, "E": 5},
+        ],
+        ids=["uniform", "general", "floor_decay", "linear_decay"],
+    )
+    def test_resolved_config_reproduces_run(self, tmp_path, schedule):
+        cfg = write_config(tmp_path, tiny_config(schedule=schedule))
         a = tmp_path / "a"
         main(["run", "--config", cfg, "--out", str(a)])
         b = tmp_path / "b"

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from byzfl.clients import (
-    Schedule,
-    byzantine_message,
-    constant_rates,
-    floor_decay_steps,
-    honest_local_update,
-    linear_decay_steps,
-)
-from byzfl.config import AttackSpec, OracleSpec
+from byzfl.clients import Schedule, byzantine_message, honest_local_update
+from byzfl.config import AttackSpec, OracleSpec, ScheduleSpec
 from byzfl.problems import (
     Dataset,
     Logistic,
@@ -40,17 +33,15 @@ LOSSES = [Ridge(lam=0.3), Logistic(lam=0.3)]
 class TestHonestLocalUpdate:
     def test_zero_steps_returns_broadcast(self):
         prob = make_synthetic(p=3, M=2, S_per_user=5, seed=0)
-        sched = Schedule(steps=lambda t: 0, rates=lambda t: np.full((2, 0), 0.1))
         w = np.array([1.0, -2.0, 3.0])
-        out = honest_local_update(prob, [0, 1], w, 1, sched, FULL, 7)
+        out = honest_local_update(prob, [0, 1], w, 1, np.full((2, 0), 0.1), FULL, 7)
         assert out.shape == (2, 3)
         assert np.array_equal(out, [w, w])
 
     def test_1d_quadratic_hand_case(self):
         # Each step multiplies by (1 - eta): 8 * 0.5^3 = 1.
         prob = quadratic_1d()
-        sched = Schedule.uniform(3, 0.5, 1)
-        out = honest_local_update(prob, [0], np.array([8.0]), 1, sched, FULL, 0)
+        out = honest_local_update(prob, [0], np.array([8.0]), 1, np.full((1, 3), 0.5), FULL, 0)
         assert out[0, 0] == pytest.approx(1.0, rel=1e-14)
 
     def test_lemma_contraction_on_quadratics(self):
@@ -65,7 +56,7 @@ class TestHonestLocalUpdate:
             K = int(rng.integers(1, 8))
             g = gamma(eta, c.mu, c.L_const, 0.0)
             w_t = rng.standard_normal(4) * 3
-            z = honest_local_update(prob, [0], w_t, 1, Schedule.uniform(K, eta, 3), FULL, seed)[0]
+            z = honest_local_update(prob, [0], w_t, 1, np.full((1, K), eta), FULL, seed)[0]
             lhs = np.linalg.norm(z - w_star) ** 2
             rhs = g**K * np.linalg.norm(w_t - w_star) ** 2
             assert lhs <= rhs * (1 + 1e-9)
@@ -75,11 +66,11 @@ class TestHonestLocalUpdate:
         c = constants(prob)
         w_star, _ = optimum(prob)
         _, eta_max = stable_eta_range(c.mu, c.L_const, 0.0)
-        sched = Schedule.uniform(1, 0.8 * eta_max, 2)
+        eta = np.full((1, 1), 0.8 * eta_max)
         w = substream(4, "w0").standard_normal(5) * 2
         prev = np.linalg.norm(w - w_star)
         for k in range(30):
-            w = honest_local_update(prob, [0], w, k + 1, sched, FULL, 0)[0]
+            w = honest_local_update(prob, [0], w, k + 1, eta, FULL, 0)[0]
             d = np.linalg.norm(w - w_star)
             assert d <= prev * (1 + 1e-12)
             prev = d
@@ -90,10 +81,10 @@ class TestHonestLocalUpdate:
         # which client m reads its own row.
         prob = make_synthetic(p=4, M=3, S_per_user=20, seed=5, heterogeneity=0.4)
         mode = OracleSpec(kind="relative_noise", delta=0.3)
-        sched = Schedule(steps=lambda t: 6, rates=lambda t: 0.01 * np.arange(1, 7) + 0.002 * np.arange(3)[:, None])
+        rates = 0.01 * np.arange(1, 7) + 0.002 * np.arange(3)[:, None]
         seed, t, m = 11, 4, 2
         w_t = substream(seed, "wt").standard_normal(4)
-        z = honest_local_update(prob, [0, m], w_t, t, sched, mode, seed)[1]
+        z = honest_local_update(prob, [0, m], w_t, t, rates[[0, m]], mode, seed)[1]
 
         w = w_t.copy()
         total = np.zeros(4)
@@ -101,8 +92,8 @@ class TestHonestLocalUpdate:
             g = global_gradient(prob, w)
             u = substream(seed, "grad", t, k).standard_normal((prob.n_users, 4))[m]
             g = g + 0.3 * np.linalg.norm(g) * u / np.linalg.norm(u)
-            total += sched.rates(t)[m, k - 1] * g
-            w = w - sched.rates(t)[m, k - 1] * g
+            total += rates[m, k - 1] * g
+            w = w - rates[m, k - 1] * g
         assert np.linalg.norm(z - (w_t - total)) <= 1e-12 * max(1.0, np.linalg.norm(z))
 
     @pytest.mark.parametrize("kind", LOSSES, ids=lambda k: type(k).__name__)
@@ -111,59 +102,62 @@ class TestHonestLocalUpdate:
         # A client's upload is bitwise the same in the full honest batch, in a
         # reversed subset and alone.
         prob = make_synthetic(p=5, M=7, S_per_user=12, seed=8, heterogeneity=0.7, loss_kind=kind)
-        sched = Schedule(steps=lambda t: 4, rates=lambda t: np.repeat(0.05 + 0.01 * np.arange(7)[:, None], 4, axis=1))
+        rates = np.repeat(0.05 + 0.01 * np.arange(7)[:, None], 4, axis=1)
         w_t = substream(3, "wt").standard_normal(5)
         honest = [0, 1, 2, 3, 4, 5]
-        full = honest_local_update(prob, honest, w_t, 2, sched, mode, 17)
+        full = honest_local_update(prob, honest, w_t, 2, rates[honest], mode, 17)
         subset = [5, 3, 2, 0]
-        part = honest_local_update(prob, subset, w_t, 2, sched, mode, 17)
+        part = honest_local_update(prob, subset, w_t, 2, rates[subset], mode, 17)
         for i, m in enumerate(subset):
             assert np.array_equal(part[i], full[m])
         for m in honest:
-            alone = honest_local_update(prob, [m], w_t, 2, sched, mode, 17)
+            alone = honest_local_update(prob, [m], w_t, 2, rates[[m]], mode, 17)
             assert np.array_equal(alone[0], full[m])
         if mode.kind == "full":
             for m in honest:
                 w = w_t.copy()
                 for k in range(1, 5):
-                    w -= sched.rates(2)[m, k - 1] * local_gradient(prob, m, w)
+                    w -= rates[m, k - 1] * local_gradient(prob, m, w)
                 assert np.array_equal(full[m], w)
         else:
-            assert not np.array_equal(full[0], honest_local_update(prob, [0], w_t, 3, sched, mode, 17)[0])
+            assert not np.array_equal(full[0], honest_local_update(prob, [0], w_t, 3, rates[[0]], mode, 17)[0])
 
     def test_reproducible_and_order_independent(self):
         prob = make_synthetic(p=3, M=4, S_per_user=15, seed=6, heterogeneity=0.5)
         mode = OracleSpec(kind="relative_noise", delta=0.5)
-        sched = Schedule.uniform(3, 0.05, 4)
+        rates = np.full((4, 3), 0.05)
         w_t = np.ones(3)
-        first = honest_local_update(prob, [0, 1, 2, 3], w_t, 2, sched, mode, 9)
-        second = honest_local_update(prob, [3, 2, 1, 0], w_t, 2, sched, mode, 9)
+        first = honest_local_update(prob, [0, 1, 2, 3], w_t, 2, rates, mode, 9)
+        second = honest_local_update(prob, [3, 2, 1, 0], w_t, 2, rates, mode, 9)
         assert np.array_equal(first, second[::-1])
 
     def test_rejects_bad_rate(self):
         prob = make_synthetic(p=2, M=1, S_per_user=5, seed=7)
-        sched = Schedule(steps=lambda t: 1, rates=lambda t: np.zeros((1, 1)))
         with pytest.raises(ValueError):
-            honest_local_update(prob, [0], np.zeros(2), 1, sched, FULL, 0)
+            honest_local_update(prob, [0], np.zeros(2), 1, np.zeros((1, 1)), FULL, 0)
 
     def test_bad_rate_error_names_first_in_step_then_batch_order(self):
         # Scanned step by step, and within a step in the order of ``ids``.
         prob = make_synthetic(p=2, M=3, S_per_user=5, seed=7)
         rates = np.full((3, 3), 0.1)
         rates[0, 2] = rates[2, 1] = rates[1, 1] = 0.0
-        sched = Schedule(steps=lambda t: 3, rates=lambda t: rates)
         with pytest.raises(ValueError, match=r"rate\(4, 2, 2\)"):
-            honest_local_update(prob, [0, 2, 1], np.zeros(2), 4, sched, FULL, 0)
+            honest_local_update(prob, [0, 2, 1], np.zeros(2), 4, rates[[0, 2, 1]], FULL, 0)
         with pytest.raises(ValueError, match=r"rate\(4, 1, 2\)"):
-            honest_local_update(prob, [0, 1, 2], np.zeros(2), 4, sched, FULL, 0)
+            honest_local_update(prob, [0, 1, 2], np.zeros(2), 4, rates, FULL, 0)
         with pytest.raises(ValueError, match=r"rate\(4, 0, 3\)"):
-            honest_local_update(prob, [0], np.zeros(2), 4, sched, FULL, 0)
+            honest_local_update(prob, [0], np.zeros(2), 4, rates[[0]], FULL, 0)
 
-    def test_rejects_rates_not_matching_steps(self):
-        prob = make_synthetic(p=2, M=2, S_per_user=5, seed=7)
-        sched = Schedule(steps=lambda t: 2, rates=lambda t: np.full((2, 3), 0.1))
+    def test_rejects_rates_not_matching_ids(self):
+        # One rate row per client: K^t is the column count, so only the row
+        # count can disagree with ``ids``.
+        prob = make_synthetic(p=2, M=3, S_per_user=5, seed=7)
         with pytest.raises(ValueError, match="shape"):
-            honest_local_update(prob, [0, 1], np.zeros(2), 1, sched, FULL, 0)
+            honest_local_update(prob, [0, 1, 2], np.zeros(2), 1, np.full((2, 3), 0.1), FULL, 0)
+        with pytest.raises(ValueError, match="shape"):
+            honest_local_update(prob, [0, 1], np.zeros(2), 1, np.full((3, 3), 0.1), FULL, 0)
+        with pytest.raises(ValueError, match="shape"):
+            honest_local_update(prob, [0, 1], np.zeros(2), 1, np.full(2, 0.1), FULL, 0)
 
     def test_minibatch_never_reads_padding(self, tmp_path):
         # Users hold 3, 9 and 5 samples, so the stacked data carries zero
@@ -247,27 +241,31 @@ class TestByzantineMessage:
 
 class TestSchedules:
     def test_uniform_markers(self):
-        s = Schedule.uniform(4, 0.2, 3)
-        assert s.is_uniform and s.uniform_K == 4 and s.uniform_eta == 0.2
+        # The spec's kind, steps and eta are what make the fixed-setup
+        # envelope applicable; the schedule broadcasts the one rate.
+        s = Schedule(ScheduleSpec(kind="uniform", steps=4, eta=0.2), 3)
+        assert s.spec.kind == "uniform" and s.spec.steps == 4 and s.spec.eta == 0.2
         assert s.steps(99) == 4 and s.rates(3)[1, 1] == 0.2
         assert s.rates(3).shape == (3, 4) and np.all(s.rates(3) == 0.2)
+        assert Schedule(ScheduleSpec(kind="uniform", steps=0, eta=0.2), 3).rates(5).shape == (3, 0)
 
     def test_constant_rates_one_row_per_client(self):
-        steps = {1: 2, 2: 0, 3: 5}.__getitem__
-        rates = constant_rates([0.1, 0.2, 0.3], 3, steps)
-        assert rates(1).shape == (3, 2) and rates(2).shape == (3, 0)
-        assert np.array_equal(rates(3), np.repeat([[0.1], [0.2], [0.3]], 5, axis=1))
-        assert np.array_equal(constant_rates(0.4, 2, steps)(1), np.full((2, 2), 0.4))
+        s = Schedule(ScheduleSpec(kind="general", client_etas=[0.1, 0.2, 0.3], steps_cycle=[2, 0, 5]), 3)
+        assert [s.steps(t) for t in (1, 2, 3, 4)] == [2, 0, 5, 2]
+        assert s.rates(1).shape == (3, 2) and s.rates(2).shape == (3, 0)
+        assert np.array_equal(s.rates(3), np.repeat([[0.1], [0.2], [0.3]], 5, axis=1))
+        decay = Schedule(ScheduleSpec(kind="floor_decay", eta=0.4, K1=2, E=10), 2)
+        assert np.array_equal(decay.rates(1), np.full((2, 2), 0.4))
 
     def test_floor_decay_verbatim_form(self):
         # Constant K1 below the horizon, zero at it.
-        f = floor_decay_steps(8, 100)
+        f = Schedule(ScheduleSpec(kind="floor_decay", eta=0.1, K1=8, E=100), 1).steps
         assert [f(t) for t in (1, 50, 99)] == [8, 8, 8]
         assert f(100) == 0
         assert f(250) == 0
 
     def test_linear_decay_form(self):
-        f = linear_decay_steps(8, 100)
+        f = Schedule(ScheduleSpec(kind="linear_decay", eta=0.1, K1=8, E=100), 1).steps
         assert f(1) == 8
         assert f(50) == 4
         assert f(99) == 1

@@ -49,7 +49,7 @@ class TestRunRound:
             from byzfl.clients import honest_local_update
 
             single = honest_local_update(
-                prep.problem, [0], prep.w1, 1, prep.schedule, prep.oracle, prep.master_seed
+                prep.problem, [0], prep.w1, 1, prep.schedule.rates(1)[:1], prep.oracle, prep.master_seed
             )[0]
             w_next, _, rec = run_round(prep, prep.w1, 1)
             assert np.array_equal(w_next, single), agg_kind
@@ -80,9 +80,8 @@ class TestRunRound:
         from byzfl.clients import honest_local_update
 
         w_t = prep.w1 + 1.0
-        uploads = honest_local_update(
-            prep.problem, prep.honest_ids, w_t, 1, prep.schedule, prep.oracle, prep.master_seed
-        )
+        rates = prep.schedule.rates(1)[: len(prep.honest_ids)]
+        uploads = honest_local_update(prep.problem, prep.honest_ids, w_t, 1, rates, prep.oracle, prep.master_seed)
         honest_dists = np.linalg.norm(uploads - prep.w_star, axis=1)
         w_next, _, _ = run_round(prep, w_t, 1)
         bound = c_beta(0.4) * max(honest_dists)
@@ -287,15 +286,15 @@ class TestResolution:
         prep = prepare(small_config())
         c = prep.consts
         expected = c.mu / (c.L_const**2 * (1 + c.delta**2))
-        assert prep.schedule.uniform_eta == pytest.approx(expected, rel=1e-12)
+        assert prep.schedule.spec.eta == pytest.approx(expected, rel=1e-12)
 
     def test_auto_steps_is_min_K(self):
         from byzfl.theory import gamma, min_K
 
         prep = prepare(small_config())
         c = prep.consts
-        g = gamma(prep.schedule.uniform_eta, c.mu, c.L_const, c.delta)
-        assert prep.schedule.uniform_K == min_K(g, prep.B / prep.M)
+        g = gamma(prep.schedule.spec.eta, c.mu, c.L_const, c.delta)
+        assert prep.schedule.spec.steps == min_K(g, prep.B / prep.M)
 
     def test_resolved_config_roundtrip(self):
         prep = prepare(small_config())
@@ -304,6 +303,26 @@ class TestResolution:
         # Resolution is idempotent: preparing the resolved config leaves it fixed.
         prep2 = prepare(rebuilt)
         assert prep2.resolved == prep.resolved
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            ScheduleSpec(kind="uniform", steps="auto", eta="auto"),
+            ScheduleSpec(kind="uniform", steps=0, eta=0.05),
+            ScheduleSpec(kind="general", steps_cycle=[2, 0, 3]),
+            ScheduleSpec(kind="general", client_etas=[0.01 * (m + 1) for m in range(8)], steps_cycle=[1, 2]),
+            ScheduleSpec(kind="floor_decay", K1=3, E=2),
+            ScheduleSpec(kind="linear_decay", K1=3, E=5, eta=0.05),
+        ],
+        ids=["uniform-auto", "uniform-K0", "general-auto", "general-explicit", "floor_decay", "linear_decay"],
+    )
+    def test_resolved_config_prepares_equal_schedule(self, schedule):
+        # The run's schedule is its resolved spec, so preparing the resolved
+        # config gives a schedule that compares equal.
+        prep = prepare(small_config(schedule=schedule))
+        again = prepare(ExperimentConfig.from_dict(prep.resolved))
+        assert again.schedule == prep.schedule
+        assert again.schedule.spec == ScheduleSpec.from_dict(prep.resolved["schedule"])
 
     def test_decay_schedules_resolve_and_run(self):
         for kind, expected_steps in (("floor_decay", [3, 0, 0, 0]), ("linear_decay", [2, 1, 1, 1])):
