@@ -11,6 +11,7 @@ All functions are pure; parameter vectors are 1-D float arrays of a common
 dimension p >= 1 with finite entries.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +118,11 @@ def _majority_point(pts: np.ndarray) -> np.ndarray | None:
     return None
 
 
+def _row_norms(d: np.ndarray) -> np.ndarray:
+    """Row norms of d, by ``np.linalg.norm(d, axis=1)``'s own arithmetic but without its dispatch."""
+    return np.sqrt(np.add.reduce(d * d, axis=1))
+
+
 def _subgradient_excess(diffs: np.ndarray, dists: np.ndarray, floor: float) -> float:
     """Norm of the smoothed subgradient at x minus the coincident-point count.
 
@@ -128,7 +134,7 @@ def _subgradient_excess(diffs: np.ndarray, dists: np.ndarray, floor: float) -> f
     on_point = dists == 0.0
     safe = np.maximum(dists, max(floor, np.finfo(np.float64).tiny))
     g = (diffs[~on_point] / safe[~on_point, None]).sum(axis=0)
-    return float(np.linalg.norm(g) - int(on_point.sum()))
+    return math.sqrt(g.dot(g)) - int(on_point.sum())
 
 
 def geometric_median(points, spec: AggregatorSpec | None = None) -> AggregateResult:
@@ -172,7 +178,7 @@ def geometric_median(points, spec: AggregatorSpec | None = None) -> AggregateRes
     pts = pts - center
     x = pts.mean(axis=0)
     diffs = x - pts
-    dists = np.linalg.norm(diffs, axis=1)
+    dists = _row_norms(diffs)
     floor = max(spec.smoothing * float(dists.max()), np.finfo(np.float64).tiny)
 
     iterations = 0
@@ -187,10 +193,10 @@ def geometric_median(points, spec: AggregatorSpec | None = None) -> AggregateRes
     # property, so failed vertices are cached.
     rejected_vertices: set[int] = set()
     for iterations in range(1, spec.max_iters + 1):
-        j = int(np.argmin(dists))
+        j = int(dists.argmin())
         if j not in rejected_vertices:
             to_vertex = pts[j] - pts
-            vertex_dists = np.linalg.norm(to_vertex, axis=1)
+            vertex_dists = _row_norms(to_vertex)
             if _subgradient_excess(to_vertex, vertex_dists, 0.0) <= -spec.tol:
                 return AggregateResult(
                     value=original[j].copy(),
@@ -202,10 +208,11 @@ def geometric_median(points, spec: AggregatorSpec | None = None) -> AggregateRes
             rejected_vertices.add(j)
         weights = 1.0 / np.maximum(dists, floor)
         x_next = weights @ pts / weights.sum()
-        displacement = float(np.linalg.norm(x_next - x))
+        step = x_next - x
+        displacement = math.sqrt(step.dot(step))
         x = x_next
         diffs = x - pts
-        dists = np.linalg.norm(diffs, axis=1)
+        dists = _row_norms(diffs)
         if displacement <= spec.tol and _subgradient_excess(diffs, dists, floor) <= spec.tol:
             converged = True
             break

@@ -81,22 +81,29 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sweep_number(param: str, raw: str, kind: type):
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"swept {param} value {raw!r} does not parse as {kind.__name__}") from None
+
+
 def _apply_sweep_value(config: ExperimentConfig, param: str, raw: str) -> ExperimentConfig:
     if param == "beta":
-        beta = float(raw)
+        beta = _sweep_number(param, raw, float)
         if not 0.0 <= beta < 1.0:
             raise ConfigError(f"swept beta must lie in [0, 1), got {beta}")
         B = round(beta * config.problem.n_users)
         return dataclasses.replace(config, n_byzantine=B)
     if param == "K":
-        K = int(raw)
+        K = _sweep_number(param, raw, int)
         if config.schedule.kind != "uniform":
             raise ConfigError("sweeping K requires a uniform schedule")
         return dataclasses.replace(
             config, schedule=dataclasses.replace(config.schedule, steps=K)
         )
     if param == "eta":
-        eta = float(raw)
+        eta = _sweep_number(param, raw, float)
         if config.schedule.kind != "uniform":
             raise ConfigError("sweeping eta requires a uniform schedule")
         return dataclasses.replace(

@@ -64,15 +64,17 @@ def honest_local_update(
     is eta(t, ids[i], k), so K^t is its column count. Step k uses one
     batched gradient whose draws come from the stream keyed
     (master_seed, 'grad', t, k), so each row is independent of the batch's
-    membership and order. K^t = 0 returns copies of w_t.
+    membership and order. K^t = 0 returns copies of w_t. A range of ids is
+    passed on as a range, which ``local_stoch_grad`` indexes by views.
     """
-    ids = np.asarray(ids, dtype=np.intp)
-    if eta.ndim != 2 or eta.shape[0] != ids.size:
-        raise ValueError(f"eta has shape {eta.shape}, need one row per client of {ids.size}")
+    ids = ids if isinstance(ids, range) else np.asarray(ids, dtype=np.intp)
+    n = len(ids) if isinstance(ids, range) else ids.size
+    if eta.ndim != 2 or eta.shape[0] != n:
+        raise ValueError(f"eta has shape {eta.shape}, need one row per client of {n}")
     if (eta <= 0).any():
         k, i = np.argwhere(eta.T <= 0)[0]
         raise ValueError(f"rate({t}, {ids[i]}, {k + 1}) must be positive, got {eta[i, k]}")
-    W = np.tile(np.asarray(w_t, dtype=np.float64), (ids.size, 1))
+    W = np.tile(np.asarray(w_t, dtype=np.float64), (n, 1))
     needs_rng = oracle.kind != "full"
     for k in range(1, eta.shape[1] + 1):
         rng = substream(master_seed, "grad", t, k) if needs_rng else None

@@ -289,24 +289,30 @@ def local_stoch_grad(
     The full oracle ignores rng. The others draw one block from it with a
     row per user 0..M-1 and keep the rows of ``ids``, so a user's draw, like
     its gradient, does not depend on which users share the batch; callers
-    key the generator by (round, step).
+    key the generator by (round, step). A step-1 range inside [0, M) is
+    indexed by views of the per-user arrays, with the same results.
     """
-    ids = np.asarray(ids, dtype=np.intp)
+    if isinstance(ids, range) and ids.step == 1 and 0 <= ids.start <= ids.stop <= problem.n_users:
+        rows, shape = slice(ids.start, ids.stop), (len(ids),)
+    else:
+        rows = ids = np.asarray(ids, dtype=np.intp)
+        shape = ids.shape
     W = np.asarray(W, dtype=np.float64)
-    if ids.ndim != 1 or W.shape != (ids.size, problem.dim):
-        raise ValueError(f"need ids (n,) and W (n, {problem.dim}), got {ids.shape} and {W.shape}")
-    if np.any((ids < 0) | (ids >= problem.n_users)):
+    if len(shape) != 1 or W.shape != (shape[0], problem.dim):
+        raise ValueError(f"need ids (n,) and W (n, {problem.dim}), got {shape} and {W.shape}")
+    if not isinstance(rows, slice) and np.any((ids < 0) | (ids >= problem.n_users)):
         raise ValueError(f"user ids must lie in [0, {problem.n_users})")
     kind, lam = problem.loss_kind, problem.lam
     if oracle.kind == "full":
         if isinstance(kind, Ridge):
-            return np.matmul(problem.grams[ids], W[:, :, None])[:, :, 0] - problem.moments[ids] + lam * W
-        fit = _fit_grads(kind, problem.inputs[ids], problem.targets[ids], W)
-        return fit / problem.counts[ids, None] + lam * W
+            return np.matmul(problem.grams[rows], W[:, :, None])[:, :, 0] - problem.moments[rows] + lam * W
+        fit = _fit_grads(kind, problem.inputs[rows], problem.targets[rows], W)
+        return fit / problem.counts[rows, None] + lam * W
     if rng is None:
         raise ValueError(f"{oracle.kind} oracle needs a random generator")
     if oracle.kind == "minibatch":
         b = oracle.batch_size
+        ids = np.arange(rows.start, rows.stop) if isinstance(rows, slice) else ids
         short = ids[problem.counts[ids] < b]
         if short.size:
             m = short[0]
@@ -316,14 +322,14 @@ def local_stoch_grad(
         keys = rng.random(problem.targets.shape)
         keys[problem.padding] = 2.0
         S_max = keys.shape[1]
-        flat = ids[:, None] * S_max + np.argpartition(keys[ids], b - 1, axis=1)[:, :b]
+        flat = ids[:, None] * S_max + np.argpartition(keys[rows], b - 1, axis=1)[:, :b]
         X = problem.inputs.reshape(-1, problem.dim).take(flat, axis=0)
         return _fit_grads(kind, X, problem.targets.take(flat), W) / b + lam * W
     # relative_noise: perturb the global gradient along a uniform unit direction.
     G = _global_grads(problem, W)
     if oracle.delta == 0.0:
         return G
-    D = rng.standard_normal((problem.n_users, problem.dim))[ids]
+    D = rng.standard_normal((problem.n_users, problem.dim))[rows]
     D /= np.linalg.norm(D, axis=1, keepdims=True)
     return G + oracle.delta * np.linalg.norm(G, axis=1, keepdims=True) * D
 

@@ -62,9 +62,9 @@ def _grid_best_objective_2d(pts: np.ndarray, center: np.ndarray, half_width: flo
     xs = np.linspace(center[0] - half_width, center[0] + half_width, n)
     ys = np.linspace(center[1] - half_width, center[1] + half_width, n)
     gx, gy = np.meshgrid(xs, ys)
-    grid = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    d = np.linalg.norm(grid[:, None, :] - pts[None, :, :], axis=2).sum(axis=1)
-    return float(d.min())
+    dx = gx.ravel()[:, None] - pts[:, 0]
+    dy = gy.ravel()[:, None] - pts[:, 1]
+    return float(np.sqrt(dx * dx + dy * dy).sum(axis=1).min())
 
 
 def ball_robustness_cases(n_cases: int = 10_000, seed: int = 2024) -> list[dict]:

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from byzfl.aggregation import (
     RobustnessCert,
     _majority_point,
+    _row_norms,
     ball_robustness_check,
     coordinate_median,
     geomed_objective,
@@ -59,6 +60,13 @@ class TestObjective:
 
 
 class TestGeometricMedian:
+    @pytest.mark.parametrize("scale", [1e-150, 1e-20, 1.0, 1e20, 1e150])
+    @pytest.mark.parametrize("p", [1, 7])
+    def test_row_norms_equal_linalg_norm_bitwise(self, scale, p):
+        d = scale * np.random.default_rng(p).standard_normal((40, p))
+        d[[3, 17]] = 0.0
+        assert np.array_equal(_row_norms(d), np.linalg.norm(d, axis=1))
+
     def test_single_point_exact(self):
         res = geometric_median([(2.0, 7.0)])
         assert np.array_equal(res.value, np.array([2.0, 7.0]))

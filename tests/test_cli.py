@@ -193,6 +193,19 @@ class TestSweep:
         code = main(["sweep", "--config", cfg, "--param", "K", "--values", "1,2", "--out", str(tmp_path / "s")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "param, raw",
+        [("K", "abc"), ("K", "2.5"), ("beta", "x"), ("eta", "1e-2x")],
+        ids=["K-abc", "K-float", "beta-x", "eta-1e-2x"],
+    )
+    def test_non_numeric_value_exit_2(self, tmp_path, capsys, param, raw):
+        cfg = write_config(tmp_path, tiny_config(rounds=4, schedule={"kind": "uniform", "steps": 2, "eta": 0.05}))
+        code = main(["sweep", "--config", cfg, "--param", param, "--values", raw, "--out", str(tmp_path / "s")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and "Traceback" not in err
+        assert param in err and repr(raw) in err
+
     def test_eta_sweep(self, tmp_path):
         cfg = write_config(tmp_path, tiny_config(rounds=4, schedule={"kind": "uniform", "steps": 2, "eta": 0.05}))
         out = tmp_path / "sweep"

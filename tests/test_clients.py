@@ -121,6 +121,23 @@ class TestHonestLocalUpdate:
                 assert np.array_equal(full[m], w)
         else:
             assert not np.array_equal(full[0], honest_local_update(prob, [0], w_t, 3, rates[[0]], mode, 17)[0])
+        # The same ids as a range: a step-1 range inside [0, M) is indexed by
+        # views and must give the list's result bitwise, whatever its start;
+        # any other range takes the list's path, errors included.
+        assert np.array_equal(honest_local_update(prob, range(6), w_t, 2, rates[:6], mode, 17), full)
+        for m in honest:
+            assert np.array_equal(honest_local_update(prob, range(m, m + 1), w_t, 2, rates[[m]], mode, 17)[0], full[m])
+        W = substream(4, "W").standard_normal((3, 5))
+        G = local_stoch_grad(prob, range(1, 4), W, mode, substream(17, "grad", 2, 1))
+        assert np.array_equal(G, local_stoch_grad(prob, [1, 2, 3], W, mode, substream(17, "grad", 2, 1)))
+        assert np.array_equal(
+            honest_local_update(prob, range(0, 7, 2), w_t, 2, rates[::2], mode, 17),
+            honest_local_update(prob, [0, 2, 4, 6], w_t, 2, rates[::2], mode, 17),
+        )
+        for bad in (range(0, 8), range(-1, 2)):
+            for ids in (bad, list(bad)):
+                with pytest.raises(ValueError, match=r"user ids must lie in \[0, 7\)"):
+                    local_stoch_grad(prob, ids, np.zeros((len(bad), 5)), mode, substream(17, "grad", 2, 1))
 
     def test_reproducible_and_order_independent(self):
         prob = make_synthetic(p=3, M=4, S_per_user=15, seed=6, heterogeneity=0.5)
@@ -143,8 +160,11 @@ class TestHonestLocalUpdate:
         rates[0, 2] = rates[2, 1] = rates[1, 1] = 0.0
         with pytest.raises(ValueError, match=r"rate\(4, 2, 2\)"):
             honest_local_update(prob, [0, 2, 1], np.zeros(2), 4, rates[[0, 2, 1]], FULL, 0)
-        with pytest.raises(ValueError, match=r"rate\(4, 1, 2\)"):
-            honest_local_update(prob, [0, 1, 2], np.zeros(2), 4, rates, FULL, 0)
+        for ids in ([0, 1, 2], range(3)):
+            with pytest.raises(ValueError, match=r"rate\(4, 1, 2\) must be positive"):
+                honest_local_update(prob, ids, np.zeros(2), 4, rates, FULL, 0)
+        with pytest.raises(ValueError, match=r"rate\(4, 2, 2\) must be positive"):
+            honest_local_update(prob, range(2, 3), np.zeros(2), 4, rates[[2]], FULL, 0)
         with pytest.raises(ValueError, match=r"rate\(4, 0, 3\)"):
             honest_local_update(prob, [0], np.zeros(2), 4, rates[[0]], FULL, 0)
 
