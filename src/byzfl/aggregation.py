@@ -129,12 +129,17 @@ def _subgradient_excess(diffs: np.ndarray, dists: np.ndarray, floor: float) -> f
     Takes the rows x - z_i and their norms. Points coincident with x
     contribute the unit ball to the subdifferential, so their count offsets
     the norm of the remaining smoothed terms; a negative value certifies x
-    as a strictly interior minimizer of the distance sum.
+    as a strictly interior minimizer of the distance sum. Coincident rows
+    are masked out only when there are some: a row whose squares underflow
+    has distance 0 but need not be zero itself.
     """
     on_point = dists == 0.0
+    n_on = int(np.count_nonzero(on_point))
     safe = np.maximum(dists, max(floor, np.finfo(np.float64).tiny))
-    g = (diffs[~on_point] / safe[~on_point, None]).sum(axis=0)
-    return math.sqrt(g.dot(g)) - int(on_point.sum())
+    if n_on:
+        diffs, safe = diffs[~on_point], safe[~on_point]
+    g = (diffs / safe[:, None]).sum(axis=0)
+    return math.sqrt(g.dot(g)) - n_on
 
 
 def geometric_median(points, spec: AggregatorSpec | None = None) -> AggregateResult:

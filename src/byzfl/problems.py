@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .aggregation import _row_norms
 from .config import OracleSpec
 from .rng import substream
 
@@ -101,6 +102,13 @@ class Problem:
     ``inputs`` is (M, S_max, p) and ``targets`` (M, S_max): user m's samples
     are the first ``counts[m]`` rows and the rest is zero padding. ``per_user``
     holds one Dataset per user whose arrays are views of its unpadded rows.
+
+    Cached on build: ``grams`` G_m = X_m'X_m/S_m (M, p, p) and ``moments``
+    c_m = X_m'y_m/S_m (M, p). Ridge problems also cache the centring point
+    ``center`` w_c, the lstsq solution of (G + lam I) w = c for the weighted
+    G and c, and per user ``center_moments`` q_m = c_m - G_m w_c (M, p) and
+    ``center_residuals`` rho_m = mean((y_m - X_m w_c)^2) (M,), from which
+    their losses are evaluated; all three are None for logistic problems.
     """
 
     inputs: np.ndarray
@@ -114,6 +122,9 @@ class Problem:
     user_weights: np.ndarray = field(init=False, repr=False)
     grams: np.ndarray = field(init=False, repr=False)
     moments: np.ndarray = field(init=False, repr=False)
+    center: np.ndarray | None = field(default=None, init=False, repr=False)
+    center_moments: np.ndarray | None = field(default=None, init=False, repr=False)
+    center_residuals: np.ndarray | None = field(default=None, init=False, repr=False)
     _gram_global: np.ndarray = field(init=False, repr=False)
     _moment_global: np.ndarray = field(init=False, repr=False)
 
@@ -143,6 +154,14 @@ class Problem:
         self.moments = np.stack([d.inputs.T @ d.targets / d.n_samples for d in self.per_user])
         self._gram_global = sum(u * g for u, g in zip(self.user_weights, self.grams))
         self._moment_global = sum(u * c for u, c in zip(self.user_weights, self.moments))
+        if isinstance(self.loss_kind, Ridge):
+            # lstsq, unlike solve, accepts a singular Hessian; constants()
+            # reports that case. Padding rows add exact zeros to rho.
+            H = self._gram_global + self.lam * np.eye(self.dim)
+            self.center = np.linalg.lstsq(H, self._moment_global, rcond=None)[0]
+            self.center_moments = self.moments - np.matmul(self.grams, self.center)
+            resid = self.targets - np.matmul(self.inputs, self.center)
+            self.center_residuals = np.add.reduce(resid * resid, axis=1) / self.counts
         if self.test_set is not None and self.test_set.dim != self.dim:
             raise ValueError("test set dimension does not match training data")
 
@@ -201,33 +220,49 @@ def _check_w(problem: Problem, w) -> np.ndarray:
     return w
 
 
+def _ridge_fits(problem: Problem, rows: slice, w: np.ndarray) -> np.ndarray:
+    """Ridge fits (losses less the penalty) of the users in ``rows`` at w, from the centred moments.
+
+    With d = w - w_c, user m's fit is 0.5*(d'G_m d - 2 q_m'd + rho_m): O(p^2)
+    per user, no samples read, rounding error of order eps * loss. The
+    uncentred 0.5*(w'G_m w - 2 c_m'w + mean(y^2)) would cancel terms of size
+    mean(y^2), orders of magnitude above the loss on a near-perfect fit.
+    """
+    d = w - problem.center
+    Gd = np.matmul(problem.grams[rows], d)
+    return 0.5 * (((Gd - 2.0 * problem.center_moments[rows]) * d).sum(axis=1) + problem.center_residuals[rows])
+
+
 def local_loss(problem: Problem, m: int, w) -> float:
-    """Per-user loss: sample average plus lam/2 * ||w||^2."""
+    """Per-user loss: sample average plus lam/2 * ||w||^2; ridge by ``global_loss``'s arithmetic."""
     if not 0 <= m < problem.n_users:
         raise ValueError(f"user index {m} out of range [0, {problem.n_users})")
     w = _check_w(problem, w)
-    data = problem.per_user[m]
-    z = data.inputs @ w
     if isinstance(problem.loss_kind, Ridge):
-        fit = 0.5 * float(np.mean((z - data.targets) ** 2))
+        fit = float(_ridge_fits(problem, slice(m, m + 1), w)[0])
     else:
+        data = problem.per_user[m]
+        z = data.inputs @ w
         fit = float(np.mean(np.logaddexp(0.0, z) - data.targets * z))
     return fit + 0.5 * problem.lam * float(w @ w)
 
 
 def global_loss(problem: Problem, w) -> float:
-    """Sample-size-weighted average of the per-user losses, in one pass over the stacked data.
+    """Sample-size-weighted average of the per-user losses.
 
-    Padded rows are masked out of each user's fit, and the weighted losses
-    are summed sequentially in user order, so on equal sample counts this
-    equals sum(u * local_loss(problem, m, w)) bitwise.
+    Ridge: each user's fit is a quadratic form in the moments cached on
+    the Problem, centred at w_c (``_ridge_fits``): O(M p^2) whatever the
+    sample counts, with rounding error of order eps * loss, not
+    eps * mean(y^2). Logistic: one pass over the stacked data, with padded
+    rows masked out of each user's fit. The weighted losses are summed
+    sequentially in user order, so on equal sample counts this equals
+    sum(u * local_loss(problem, m, w)) bitwise.
     """
     w = _check_w(problem, w)
-    z = np.matmul(problem.inputs, w[:, None])[:, :, 0]
     if isinstance(problem.loss_kind, Ridge):
-        # Padding rows have zero inputs and targets, so they add zeros.
-        fit = 0.5 * (np.sum((z - problem.targets) ** 2, axis=1) / problem.counts)
+        fit = _ridge_fits(problem, slice(None), w)
     else:
+        z = np.matmul(problem.inputs, w[:, None])[:, :, 0]
         # A padding row would add log 2 to the logistic fit.
         rows = np.where(problem.padding, 0.0, np.logaddexp(0.0, z) - problem.targets * z)
         fit = np.sum(rows, axis=1) / problem.counts
@@ -330,8 +365,8 @@ def local_stoch_grad(
     if oracle.delta == 0.0:
         return G
     D = rng.standard_normal((problem.n_users, problem.dim))[rows]
-    D /= np.linalg.norm(D, axis=1, keepdims=True)
-    return G + oracle.delta * np.linalg.norm(G, axis=1, keepdims=True) * D
+    D /= _row_norms(D)[:, None]
+    return G + oracle.delta * _row_norms(G)[:, None] * D
 
 
 def constants(problem: Problem, oracle: OracleSpec | None = None) -> SmoothnessConstants:

@@ -8,6 +8,7 @@ from byzfl.aggregation import (
     RobustnessCert,
     _majority_point,
     _row_norms,
+    _subgradient_excess,
     ball_robustness_check,
     coordinate_median,
     geomed_objective,
@@ -66,6 +67,15 @@ class TestGeometricMedian:
         d = scale * np.random.default_rng(p).standard_normal((40, p))
         d[[3, 17]] = 0.0
         assert np.array_equal(_row_norms(d), np.linalg.norm(d, axis=1))
+
+    def test_subgradient_excess_masks_rows_whose_distance_underflows(self):
+        # The tiny row's squares underflow: distance 0, a nonzero row, and
+        # divided by the tiny floor it would swamp the sum.
+        diffs = np.array([[1e-170, 0.0], [0.0, 0.0], [3.0, 4.0], [0.0, -2.0]])
+        dists = _row_norms(diffs)
+        assert dists[0] == 0.0
+        assert _subgradient_excess(diffs, dists, 0.0) == pytest.approx(np.hypot(0.6, -0.2) - 2.0, rel=1e-15)
+        assert _subgradient_excess(diffs[2:], dists[2:], 0.0) == pytest.approx(np.hypot(0.6, -0.2), rel=1e-15)
 
     def test_single_point_exact(self):
         res = geometric_median([(2.0, 7.0)])

@@ -89,6 +89,54 @@ class TestLosses:
             loop = float(sum(u * local_loss(prob, m, w) for m, u in enumerate(prob.user_weights)))
             assert abs(global_loss(prob, w) - loop) <= 1e-12 * abs(loop)
 
+    def test_ridge_global_loss_ignores_padding(self, tmp_path):
+        rng = np.random.default_rng(7)
+        paths = []
+        for m, s in enumerate((3, 11, 6)):
+            table = np.column_stack([rng.standard_normal((s, 3)), rng.standard_normal(s)])
+            path = tmp_path / f"u{m}.csv"
+            np.savetxt(path, table, delimiter=",")
+            paths.append(str(path))
+        prob = problem_from_csv(paths, Ridge(lam=0.2))
+        for _ in range(50):
+            w = rng.standard_normal(3) * 3.0
+            loop = float(sum(u * local_loss(prob, m, w) for m, u in enumerate(prob.user_weights)))
+            assert abs(global_loss(prob, w) - loop) <= 1e-12 * abs(loop)
+
+    def test_ridge_gap_keeps_full_precision_on_a_near_perfect_fit(self):
+        # ||w_true|| ~ 1e4 and noise 1e-2: mean(y^2) ~ 1e8 against f* ~ 40,
+        # so a form that cancels mean(y^2) would lose about six digits.
+        rng = np.random.default_rng(11)
+        M, S, p, lam = 20, 50, 5, 1e-6
+        w_true = rng.standard_normal(p) * 1e4 / np.sqrt(p)
+        X = rng.standard_normal((M, S, p))
+        y = X @ w_true + 1e-2 * rng.standard_normal((M, S))
+        prob = Problem(X, y, np.full(M, S), Ridge(lam=lam))
+        w_star, f_star = optimum(prob)
+        eps = np.finfo(np.float64).eps
+        Xl, yl = X.astype(np.longdouble), y.astype(np.longdouble)
+        ws = w_star.astype(np.longdouble)
+        r_star = Xl @ ws - yl
+        for s in (1e-2, 1e-5, 1e-8):
+            for _ in range(5):
+                u = rng.standard_normal(p)
+                w = w_star + s * (u / np.linalg.norm(u))
+                wl = w.astype(np.longdouble)
+                r_w = Xl @ wl - yl
+                fits = 0.5 * np.mean((r_w - r_star) * (r_w + r_star), axis=1)
+                ref = np.sum(prob.user_weights * fits) + 0.5 * lam * np.dot(wl - ws, wl + ws)
+                assert abs((global_loss(prob, w) - f_star) - float(ref)) <= 8 * eps * f_star
+
+    def test_ridge_losses_read_no_samples(self):
+        prob = make_synthetic(p=4, M=6, S_per_user=15, seed=4, heterogeneity=0.7)
+        w = substream(4, "w").standard_normal(4)
+        before = global_loss(prob, w), [local_loss(prob, m, w) for m in range(6)]
+        # Filled in place, so the per-user views read NaN too.
+        prob.inputs.fill(np.nan)
+        prob.targets.fill(np.nan)
+        after = global_loss(prob, w), [local_loss(prob, m, w) for m in range(6)]
+        assert np.isfinite(after[0]) and after == before
+
     def test_bad_user_index(self):
         prob = make_synthetic(p=2, M=2, S_per_user=5, seed=3)
         with pytest.raises(ValueError):
