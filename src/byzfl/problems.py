@@ -4,12 +4,15 @@ Ridge and logistic problems over per-user datasets, exposing the weighted
 global loss, per-user local losses, exact and stochastic gradients, the
 strong-convexity / smoothness constants (mu, L), and the global minimizer.
 A problem stores all users' samples once, as zero-padded stacked arrays, so
-the stochastic oracle evaluates a whole batch of users in one call.
+the stochastic oracle evaluates a whole batch of users in one call. Ridge
+problems also hold each user's Hessian eigendecomposition, in which K
+full-gradient steps at one rate are one closed-form map.
 Everything here is deterministic given its inputs; stochastic gradient
 oracles take an explicit generator so callers control the stream.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +25,7 @@ __all__ = [
     "Logistic",
     "Dataset",
     "Problem",
+    "RidgeSpectrum",
     "SmoothnessConstants",
     "make_synthetic",
     "problem_from_csv",
@@ -104,11 +108,13 @@ class Problem:
     holds one Dataset per user whose arrays are views of its unpadded rows.
 
     Cached on build: ``grams`` G_m = X_m'X_m/S_m (M, p, p) and ``moments``
-    c_m = X_m'y_m/S_m (M, p). Ridge problems also cache the centring point
+    c_m = X_m'y_m/S_m (M, p), each one stacked product over the padded data.
+    Ridge problems also cache the centring point
     ``center`` w_c, the lstsq solution of (G + lam I) w = c for the weighted
     G and c, and per user ``center_moments`` q_m = c_m - G_m w_c (M, p) and
     ``center_residuals`` rho_m = mean((y_m - X_m w_c)^2) (M,), from which
     their losses are evaluated; all three are None for logistic problems.
+    Ridge ``spectrum`` is built on first use.
     """
 
     inputs: np.ndarray
@@ -149,9 +155,10 @@ class Problem:
         )
         self.user_weights = self.counts / self.counts.sum()
         # Cached second moments: G_m = X'X/S_m and c_m = X'y/S_m make full
-        # gradients O(p^2) regardless of S_m.
-        self.grams = np.stack([d.inputs.T @ d.inputs / d.n_samples for d in self.per_user])
-        self.moments = np.stack([d.inputs.T @ d.targets / d.n_samples for d in self.per_user])
+        # gradients O(p^2) regardless of S_m. Padding rows add exact zeros.
+        XT = np.swapaxes(self.inputs, 1, 2)
+        self.grams = np.matmul(XT, self.inputs) / self.counts[:, None, None]
+        self.moments = np.matmul(XT, self.targets[:, :, None])[:, :, 0] / self.counts[:, None]
         self._gram_global = sum(u * g for u, g in zip(self.user_weights, self.grams))
         self._moment_global = sum(u * c for u, c in zip(self.user_weights, self.moments))
         if isinstance(self.loss_kind, Ridge):
@@ -182,6 +189,17 @@ class Problem:
             targets[m, : d.n_samples] = d.targets
         return cls(inputs, targets, counts, loss_kind, test_set)
 
+    @cached_property
+    def spectrum(self) -> "RidgeSpectrum | None":
+        """Eigendecompositions of the ridge user Hessians G_m + lam I, from one stacked eigh; None for logistic."""
+        if not isinstance(self.loss_kind, Ridge):
+            return None
+        values, vectors = np.linalg.eigh(self.grams + self.lam * np.eye(self.dim))
+        definite = _positive_definite(values)
+        coords = np.matmul(self.moments[:, None, :], vectors)[:, 0]
+        coords = np.divide(coords, values, out=np.zeros_like(coords), where=definite[:, None])
+        return RidgeSpectrum(values, vectors, coords, definite)
+
     @property
     def n_users(self) -> int:
         return self.inputs.shape[0]
@@ -196,6 +214,44 @@ class Problem:
 
 
 @dataclass(frozen=True)
+class RidgeSpectrum:
+    """Per-user ridge Hessians H_m = G_m + lam I = V_m diag(values_m) V_m' and minimizers w_m* = H_m^-1 c_m.
+
+    ``values`` (M, p) ascending, ``vectors`` (M, p, p) with orthonormal
+    columns V_m, ``definite`` (M,): whether H_m passes ``constants``'
+    positive-definiteness test, and ``coords`` (M, p): V_m'w_m* =
+    diag(1/values_m) V_m'c_m, zero where H_m is not definite.
+    """
+
+    values: np.ndarray
+    vectors: np.ndarray
+    coords: np.ndarray
+    definite: np.ndarray
+
+    def full_steps(self, rows, w: np.ndarray, eta: np.ndarray, K: int) -> np.ndarray:
+        """K full-gradient steps from w at rate eta[i] for the users ``rows`` selects, in closed form.
+
+        A step maps w - w_m* to (I - eta H_m)(w - w_m*), so in user m's
+        eigenbasis, with u = V_m'w, s = V_m'w_m* and x = eta * values_m,
+        K steps give b = s + f(u - s) = u - g(u - s), f = (1 - x)^K,
+        g = 1 - f; row i is V_m b. Each coordinate takes the form whose
+        factor is at most 1/2, with g = -expm1(K log1p(-x)), so that neither
+        cancels: exact up to rounding where H_m is definite. Each row is
+        computed on its own, independent of the other rows. A diverging rate
+        gives non-finite rows without floating-point warnings.
+        """
+        V, s = self.vectors[rows], self.coords[rows]
+        u = np.matmul(w, V)
+        d = u - s
+        x = eta[:, None] * self.values[rows]
+        with np.errstate(all="ignore"):
+            f = (1.0 - x) ** K
+            g = -np.expm1(K * np.log1p(-x))  # NaN for x > 1, where f is used
+            b = np.where(g <= 0.5, u - g * d, s + f * d)
+            return np.matmul(V, b[:, :, None])[:, :, 0]
+
+
+@dataclass(frozen=True)
 class SmoothnessConstants:
     mu: float
     L_const: float
@@ -206,6 +262,28 @@ class SmoothnessConstants:
             raise ValueError(f"need 0 < mu <= L, got mu={self.mu}, L={self.L_const}")
         if self.delta < 0:
             raise ValueError(f"delta must be nonnegative, got {self.delta}")
+
+
+def _positive_definite(eigs: np.ndarray) -> np.ndarray:
+    """Whether ascending eigenvalue rows (last axis) clear the ``matrix_rank`` tolerance p * eps * largest."""
+    return eigs[..., 0] > eigs.shape[-1] * np.finfo(np.float64).eps * eigs[..., -1]
+
+
+def _user_rows(problem: Problem, ids) -> slice | np.ndarray:
+    """``ids`` as an index into the per-user arrays: a slice for a step-1 range inside [0, M), else intp ids.
+
+    Any other id sequence, a step-2 range or an out-of-bounds range
+    included, becomes an array; raises ValueError unless it is 1-D with ids
+    in [0, M).
+    """
+    if isinstance(ids, range) and ids.step == 1 and 0 <= ids.start <= ids.stop <= problem.n_users:
+        return slice(ids.start, ids.stop)
+    ids = np.asarray(ids, dtype=np.intp)
+    if ids.ndim != 1:
+        raise ValueError(f"need ids (n,), got shape {ids.shape}")
+    if np.any((ids < 0) | (ids >= problem.n_users)):
+        raise ValueError(f"user ids must lie in [0, {problem.n_users})")
+    return ids
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -327,16 +405,11 @@ def local_stoch_grad(
     key the generator by (round, step). A step-1 range inside [0, M) is
     indexed by views of the per-user arrays, with the same results.
     """
-    if isinstance(ids, range) and ids.step == 1 and 0 <= ids.start <= ids.stop <= problem.n_users:
-        rows, shape = slice(ids.start, ids.stop), (len(ids),)
-    else:
-        rows = ids = np.asarray(ids, dtype=np.intp)
-        shape = ids.shape
+    rows = _user_rows(problem, ids)
+    n = rows.stop - rows.start if isinstance(rows, slice) else rows.size
     W = np.asarray(W, dtype=np.float64)
-    if len(shape) != 1 or W.shape != (shape[0], problem.dim):
-        raise ValueError(f"need ids (n,) and W (n, {problem.dim}), got {shape} and {W.shape}")
-    if not isinstance(rows, slice) and np.any((ids < 0) | (ids >= problem.n_users)):
-        raise ValueError(f"user ids must lie in [0, {problem.n_users})")
+    if W.shape != (n, problem.dim):
+        raise ValueError(f"need W ({n}, {problem.dim}) for {n} ids, got {W.shape}")
     kind, lam = problem.loss_kind, problem.lam
     if oracle.kind == "full":
         if isinstance(kind, Ridge):
@@ -347,7 +420,7 @@ def local_stoch_grad(
         raise ValueError(f"{oracle.kind} oracle needs a random generator")
     if oracle.kind == "minibatch":
         b = oracle.batch_size
-        ids = np.arange(rows.start, rows.stop) if isinstance(rows, slice) else ids
+        ids = np.arange(rows.start, rows.stop) if isinstance(rows, slice) else rows
         short = ids[problem.counts[ids] < b]
         if short.size:
             m = short[0]
@@ -383,7 +456,7 @@ def constants(problem: Problem, oracle: OracleSpec | None = None) -> SmoothnessC
     delta = oracle.delta if oracle is not None and oracle.kind == "relative_noise" else 0.0
     if isinstance(problem.loss_kind, Ridge):
         eigs = np.linalg.eigvalsh(problem._gram_global + problem.lam * np.eye(problem.dim))
-        if eigs[0] <= problem.dim * np.finfo(np.float64).eps * eigs[-1]:
+        if not _positive_definite(eigs):
             msg = f"smallest eigenvalue {eigs[0]:.3e}, largest {eigs[-1]:.3e}; set problem.reg > 0"
             raise np.linalg.LinAlgError(f"ridge Hessian is not positive definite: {msg}")
         return SmoothnessConstants(mu=float(eigs[0]), L_const=float(eigs[-1]), delta=delta)
@@ -478,16 +551,17 @@ def make_synthetic(
     X_shared = substream(seed, "data-x-shared").standard_normal((S_per_user, p))
     noise_shared = substream(seed, "data-noise-shared").standard_normal(S_per_user)
 
-    X = np.empty((M, S_per_user, p))
-    y = np.empty((M, S_per_user))
-    for m in range(M):
-        X[m] = a * X_shared + b * substream(seed, "data-x", m).standard_normal((S_per_user, p))
-        eps = a * noise_shared + b * substream(seed, "data-noise", m).standard_normal(S_per_user)
-        margin = X[m] @ w_true
-        if isinstance(loss_kind, Ridge):
-            y[m] = margin + 0.1 * eps
-        else:
-            y[m] = margin + 0.5 * eps > 0.0
+    if heterogeneity == 0.0:
+        # b = 0 would scale the per-user draws to zeros: every user holds the shared draws.
+        X = np.broadcast_to(X_shared, (M, S_per_user, p))
+        eps = np.broadcast_to(noise_shared, (M, S_per_user))
+    else:
+        X, eps = np.empty((M, S_per_user, p)), np.empty((M, S_per_user))
+        for m in range(M):
+            X[m] = a * X_shared + b * substream(seed, "data-x", m).standard_normal((S_per_user, p))
+            eps[m] = a * noise_shared + b * substream(seed, "data-noise", m).standard_normal(S_per_user)
+    margin = np.matmul(X, w_true)
+    y = margin + 0.1 * eps if isinstance(loss_kind, Ridge) else (margin + 0.5 * eps > 0.0).astype(np.float64)
 
     test_set = None
     if isinstance(loss_kind, Logistic) and test_size > 0:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -262,10 +263,16 @@ class TestFailurePaths:
     def test_non_finite_honest_upload_exit_3(self, tmp_path, capsys):
         schedule = {"kind": "uniform", "steps": 2, "eta": 1e300}
         cfg = write_config(tmp_path, tiny_config(schedule=schedule))
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert "internal error" in err and "non-finite" in err
         assert "Traceback" not in err
+        # At most the envelope's contraction factor overflows; the clients'
+        # exact steps stay quiet.
+        warned = {(Path(w.filename).name, str(w.message)) for w in caught}
+        assert warned <= {("theory.py", "overflow encountered in multiply")}
 
     def test_threads_env_respected(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, tiny_config(rounds=3))

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from byzfl.clients import Schedule, byzantine_message, honest_local_update
-from byzfl.config import AttackSpec, OracleSpec, ScheduleSpec
+from byzfl.config import AttackSpec, ExperimentConfig, OracleSpec, ScheduleSpec, SyntheticProblemSpec
 from byzfl.problems import (
     Dataset,
     Logistic,
@@ -17,6 +19,7 @@ from byzfl.problems import (
     problem_from_csv,
 )
 from byzfl.rng import substream
+from byzfl.server import prepare, run_round
 from byzfl.theory import gamma, stable_eta_range
 
 
@@ -26,6 +29,7 @@ def quadratic_1d():
 
 
 FULL = OracleSpec(kind="full")
+EPS = np.finfo(np.float64).eps
 ORACLES = [FULL, OracleSpec(kind="minibatch", batch_size=4), OracleSpec(kind="relative_noise", delta=0.4)]
 LOSSES = [Ridge(lam=0.3), Logistic(lam=0.3)]
 
@@ -118,7 +122,11 @@ class TestHonestLocalUpdate:
                 w = w_t.copy()
                 for k in range(1, 5):
                     w -= rates[m, k - 1] * local_gradient(prob, m, w)
-                assert np.array_equal(full[m], w)
+                if isinstance(kind, Ridge):
+                    # The exact 4-step map equals the loop up to rounding.
+                    assert np.linalg.norm(full[m] - w) <= 16 * EPS * np.linalg.norm(w)
+                else:
+                    assert np.array_equal(full[m], w)
         else:
             assert not np.array_equal(full[0], honest_local_update(prob, [0], w_t, 3, rates[[0]], mode, 17)[0])
         # The same ids as a range: a step-1 range inside [0, M) is indexed by
@@ -202,6 +210,129 @@ class TestHonestLocalUpdate:
                         assert np.max(np.abs(g - local_gradient(prob, m, w))) <= 1e-12
             with pytest.raises(ValueError):
                 local_stoch_grad(prob, [0, 1], np.zeros((2, 3)), OracleSpec(kind="minibatch", batch_size=4), substream(1, "grad"))
+
+
+def loop_steps(prob, ids, w_t, eta):
+    """The reference K-step loop: one full-oracle gradient step per rate column."""
+    W = np.tile(w_t, (len(ids), 1))
+    for k in range(eta.shape[1]):
+        W -= eta[:, k, None] * local_stoch_grad(prob, ids, W, FULL)
+    return W
+
+
+def unequal_csv_problem(tmp_path):
+    # Users hold 3, 9 and 5 samples in p=3, so the stacked data carries padding.
+    rng = np.random.default_rng(4)
+    paths = []
+    for m, s in enumerate([3, 9, 5]):
+        path = tmp_path / f"u{m}.csv"
+        np.savetxt(path, rng.standard_normal((s, 4)), delimiter=",")
+        paths.append(str(path))
+    return problem_from_csv(paths, Ridge(lam=0.3))
+
+
+SCHEDULES = {
+    "uniform": ScheduleSpec(kind="uniform", steps=4),
+    "general": ScheduleSpec(kind="general", client_etas=[0.02, 0.03] * 6, steps_cycle=[2, 0, 3]),
+    "floor_decay": ScheduleSpec(kind="floor_decay", K1=3, E=4),
+    "linear_decay": ScheduleSpec(kind="linear_decay", K1=5, E=6),
+}
+
+
+class TestExactRidgeSteps:
+    """Full-oracle ridge rows with one rate per round take the closed-form K-step map."""
+
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=str)
+    @pytest.mark.parametrize("h", [0.0, 0.5])
+    def test_matches_loop_along_a_run(self, h, schedule):
+        # Each round's broadcast comes from the run itself; rows with equal
+        # rates on identical data (h=0) are bitwise equal, as the majority
+        # shortcut needs, and every row is the loop's up to rounding.
+        problem = SyntheticProblemSpec(p=5, n_users=12, samples_per_user=30, heterogeneity=h)
+        prep = prepare(ExperimentConfig(problem=problem, n_byzantine=2, schedule=SCHEDULES[schedule], rounds=6, seed=4))
+        ids, w, cum = prep.honest_ids, prep.w1, 1.0
+        for t in range(1, prep.rounds + 1):
+            eta = prep.schedule.rates(t)[: len(ids)]
+            Z = honest_local_update(prep.problem, ids, w, t, eta, prep.oracle, prep.master_seed)
+            ref = loop_steps(prep.problem, ids, w, eta)
+            assert (np.linalg.norm(Z - ref, axis=1) <= 8 * EPS * np.linalg.norm(ref, axis=1)).all()
+            if h == 0.0:
+                for i in range(len(ids)):
+                    same = (eta[:, 0] == eta[i, 0]) if eta.shape[1] else np.ones(len(ids), bool)
+                    assert np.array_equal(Z[same], np.broadcast_to(Z[i], Z[same].shape))
+            w, cum, _ = run_round(prep, w, t, cum)
+
+    def test_matches_loop_on_unequal_counts(self, tmp_path):
+        prob = unequal_csv_problem(tmp_path)
+        assert prob.spectrum.definite.all()
+        eta = np.repeat([[0.05], [0.2], [0.4]], 5, axis=1)
+        for w_t in (np.zeros(3), substream(2, "wt").standard_normal(3)):
+            Z = honest_local_update(prob, [2, 0, 1], w_t, 1, eta, FULL, 0)
+            ref = loop_steps(prob, [2, 0, 1], w_t, eta)
+            assert (np.linalg.norm(Z - ref, axis=1) <= 8 * EPS * np.linalg.norm(ref, axis=1)).all()
+
+    def test_spectrum_user_optima(self, tmp_path):
+        prob = unequal_csv_problem(tmp_path)
+        sp = prob.spectrum
+        H = prob.grams + 0.3 * np.eye(3)
+        assert np.allclose(np.matmul(sp.vectors, sp.values[:, :, None] * np.swapaxes(sp.vectors, 1, 2)), H, atol=1e-14)
+        for m in range(3):
+            assert np.allclose(sp.vectors[m] @ sp.coords[m], np.linalg.solve(H[m], prob.moments[m]), rtol=1e-13)
+        assert make_synthetic(p=2, M=2, S_per_user=4, seed=0, loss_kind=Logistic(lam=0.1)).spectrum is None
+
+    @pytest.mark.parametrize(
+        "last_scale, w_scale, rate, K",
+        [(0.01, 0.0, 0.05, 1), (1.0, 1e4, 0.9, 30)],
+        ids=["from-zero-small-rate", "from-far-strong-contraction"],
+    )
+    def test_accurate_where_one_form_cancels(self, last_scale, w_scale, rate, K):
+        # From zero with a small step on an ill-conditioned user (condition
+        # ~1e4), s + f(u - s) cancels; from 1e4 away with strong contraction,
+        # u - g(u - s) does. The map picks per coordinate the form that does
+        # not, and stays within a few eps of the loop.
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((20, 4)) * [1.0, 1.0, 1.0, last_scale]
+        prob = Problem.from_datasets([Dataset(inputs=X, targets=rng.standard_normal(20))], Ridge(lam=1e-6))
+        eta = np.full((1, K), rate / prob.spectrum.values[0, -1])
+        w_t = np.full(4, w_scale)
+        Z = honest_local_update(prob, [0], w_t, 1, eta, FULL, 0)
+        ref = loop_steps(prob, [0], w_t, eta)
+        assert np.linalg.norm(Z - ref) <= 8 * EPS * np.linalg.norm(ref)
+
+    def test_indefinite_user_takes_the_loop(self):
+        # lam = 0 and a user with 2 samples in p=4: its Hessian is singular,
+        # so its row is the loop's bitwise; the other user's is exact.
+        rng = np.random.default_rng(9)
+        users = [Dataset(inputs=rng.standard_normal((s, 4)), targets=rng.standard_normal(s)) for s in (2, 20)]
+        prob = Problem.from_datasets(users, Ridge(lam=0.0))
+        assert prob.spectrum.definite.tolist() == [False, True]
+        assert np.array_equal(prob.spectrum.coords[0], np.zeros(4))
+        eta = np.full((2, 3), 0.05)
+        w_t = rng.standard_normal(4)
+        for ids in ([0, 1], range(2), [1, 0]):
+            Z = honest_local_update(prob, ids, w_t, 1, eta, FULL, 0)
+            ref = loop_steps(prob, list(ids), w_t, eta)
+            i0 = list(ids).index(0)
+            assert np.array_equal(Z[i0], ref[i0])
+            assert np.linalg.norm(Z[1 - i0] - ref[1 - i0]) <= 8 * EPS * np.linalg.norm(ref[1 - i0])
+
+    def test_rate_varying_across_steps_takes_the_loop(self):
+        prob = make_synthetic(p=4, M=3, S_per_user=20, seed=2, heterogeneity=0.5)
+        eta = np.array([[0.1, 0.2, 0.1], [0.1, 0.1, 0.1], [0.3, 0.3, 0.2]])
+        w_t = substream(1, "wt").standard_normal(4)
+        Z = honest_local_update(prob, range(3), w_t, 1, eta, FULL, 0)
+        ref = loop_steps(prob, [0, 1, 2], w_t, eta)
+        assert np.array_equal(Z[[0, 2]], ref[[0, 2]])
+        assert np.linalg.norm(Z[1] - ref[1]) <= 8 * EPS * np.linalg.norm(ref[1])
+
+    def test_diverging_rate_is_quiet(self):
+        # A rate far past stability gives non-finite rows and no warning;
+        # the server reports them as a diverged run.
+        prob = make_synthetic(p=3, M=2, S_per_user=20, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Z = honest_local_update(prob, range(2), np.zeros(3), 1, np.full((2, 2), 1e300), FULL, 0)
+        assert not np.isfinite(Z).all()
 
 
 class TestByzantineMessage:

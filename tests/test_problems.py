@@ -393,6 +393,22 @@ class TestMakeSynthetic:
             assert d.inputs.tobytes() == ref.inputs.tobytes()
             assert d.targets.tobytes() == ref.targets.tobytes()
 
+    @pytest.mark.parametrize("h", [0.0, 0.3])
+    @pytest.mark.parametrize("kind", [Ridge(lam=0.5), Logistic(lam=0.1)], ids=lambda k: type(k).__name__)
+    def test_stacked_moments_equal_per_user_products(self, h, kind):
+        # On equal sample counts the stacked Gram and moment products equal
+        # each user's own products bit for bit.
+        for p, M, S in ((10, 50, 200), (3, 7, 33), (17, 5, 1), (50, 4, 50)):
+            prob = make_synthetic(p=p, M=M, S_per_user=S, seed=2, heterogeneity=h, loss_kind=kind)
+            for m, d in enumerate(prob.per_user):
+                assert np.array_equal(prob.grams[m], d.inputs.T @ d.inputs / d.n_samples)
+                assert np.array_equal(prob.moments[m], d.inputs.T @ d.targets / d.n_samples)
+
+    def test_zero_heterogeneity_users_hold_the_shared_draws(self):
+        prob = make_synthetic(p=3, M=4, S_per_user=8, seed=7, heterogeneity=0.0)
+        shared = substream(7, "data-x-shared").standard_normal((8, 3))
+        assert all(d.inputs.tobytes() == shared.tobytes() for d in prob.per_user)
+
     def test_logistic_labels_binary_with_test_set(self):
         prob = make_synthetic(p=3, M=2, S_per_user=10, seed=8, loss_kind=Logistic(lam=0.1))
         for d in prob.per_user:
