@@ -29,6 +29,8 @@ __all__ = [
     "ball_robustness_check",
 ]
 
+_TINY = np.finfo(np.float64).tiny
+
 
 @dataclass(frozen=True)
 class AggregateResult:
@@ -135,7 +137,7 @@ def _subgradient_excess(diffs: np.ndarray, dists: np.ndarray, floor: float) -> f
     """
     on_point = dists == 0.0
     n_on = int(np.count_nonzero(on_point))
-    safe = np.maximum(dists, max(floor, np.finfo(np.float64).tiny))
+    safe = np.maximum(dists, max(floor, _TINY))
     if n_on:
         diffs, safe = diffs[~on_point], safe[~on_point]
     g = (diffs / safe[:, None]).sum(axis=0)
@@ -184,7 +186,7 @@ def geometric_median(points, spec: AggregatorSpec | None = None) -> AggregateRes
     x = pts.mean(axis=0)
     diffs = x - pts
     dists = _row_norms(diffs)
-    floor = max(spec.smoothing * float(dists.max()), np.finfo(np.float64).tiny)
+    floor = max(spec.smoothing * float(dists.max()), _TINY)
 
     iterations = 0
     converged = False
@@ -218,16 +220,18 @@ def geometric_median(points, spec: AggregatorSpec | None = None) -> AggregateRes
         x = x_next
         diffs = x - pts
         dists = _row_norms(diffs)
-        if displacement <= spec.tol and _subgradient_excess(diffs, dists, floor) <= spec.tol:
+        if displacement <= spec.tol and (excess := _subgradient_excess(diffs, dists, floor)) <= spec.tol:
             converged = True
             break
+    else:
+        excess = _subgradient_excess(diffs, dists, floor)
 
     return AggregateResult(
         value=x + center,
         iterations=iterations,
         objective=float(dists.sum()),
         converged=converged,
-        residual=max(0.0, _subgradient_excess(diffs, dists, floor)),
+        residual=max(0.0, excess),
     )
 
 

@@ -104,8 +104,7 @@ class Problem:
     """All users' samples stacked once, plus the loss kind; caches Gram moments on build.
 
     ``inputs`` is (M, S_max, p) and ``targets`` (M, S_max): user m's samples
-    are the first ``counts[m]`` rows and the rest is zero padding. ``per_user``
-    holds one Dataset per user whose arrays are views of its unpadded rows.
+    are the first ``counts[m]`` rows and the rest is zero padding.
 
     Cached on build: ``grams`` G_m = X_m'X_m/S_m (M, p, p) and ``moments``
     c_m = X_m'y_m/S_m (M, p), each one stacked product over the padded data.
@@ -123,7 +122,6 @@ class Problem:
     loss_kind: LossKind
     test_set: Dataset | None = None
 
-    per_user: tuple[Dataset, ...] = field(init=False, repr=False)
     padding: np.ndarray = field(init=False, repr=False)
     user_weights: np.ndarray = field(init=False, repr=False)
     grams: np.ndarray = field(init=False, repr=False)
@@ -149,10 +147,8 @@ class Problem:
         self.padding = np.arange(self.inputs.shape[1]) >= self.counts[:, None]
         if np.any(self.inputs[self.padding]):
             raise ValueError("padding rows of inputs must be zero")
-        self.per_user = tuple(
-            Dataset(inputs=self.inputs[m, :s], targets=self.targets[m, :s])
-            for m, s in enumerate(self.counts)
-        )
+        if not (np.isfinite(self.inputs).all() and np.isfinite(self.targets).all()):
+            raise ValueError("dataset contains non-finite values")
         self.user_weights = self.counts / self.counts.sum()
         # Cached second moments: G_m = X'X/S_m and c_m = X'y/S_m make full
         # gradients O(p^2) regardless of S_m. Padding rows add exact zeros.
@@ -286,6 +282,11 @@ def _user_rows(problem: Problem, ids) -> slice | np.ndarray:
     return ids
 
 
+def _softplus(z: np.ndarray) -> np.ndarray:
+    """log(1 + exp(z)) by ``np.logaddexp(0, z)``'s formula, with numpy's vectorised exp and log1p."""
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(z))  # never overflows
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
@@ -319,9 +320,9 @@ def local_loss(problem: Problem, m: int, w) -> float:
     if isinstance(problem.loss_kind, Ridge):
         fit = float(_ridge_fits(problem, slice(m, m + 1), w)[0])
     else:
-        data = problem.per_user[m]
-        z = data.inputs @ w
-        fit = float(np.mean(np.logaddexp(0.0, z) - data.targets * z))
+        s = problem.counts[m]
+        z = problem.inputs[m, :s] @ w
+        fit = float(np.mean(_softplus(z) - problem.targets[m, :s] * z))
     return fit + 0.5 * problem.lam * float(w @ w)
 
 
@@ -342,7 +343,7 @@ def global_loss(problem: Problem, w) -> float:
     else:
         z = np.matmul(problem.inputs, w[:, None])[:, :, 0]
         # A padding row would add log 2 to the logistic fit.
-        rows = np.where(problem.padding, 0.0, np.logaddexp(0.0, z) - problem.targets * z)
+        rows = np.where(problem.padding, 0.0, _softplus(z) - problem.targets * z)
         fit = np.sum(rows, axis=1) / problem.counts
     losses = fit + 0.5 * problem.lam * float(w @ w)
     return float(np.cumsum(problem.user_weights * losses)[-1])
@@ -380,9 +381,9 @@ def local_gradient(problem: Problem, m: int, w) -> np.ndarray:
     w = _check_w(problem, w)
     if isinstance(problem.loss_kind, Ridge):
         return problem.grams[m] @ w - problem.moments[m] + problem.lam * w
-    data = problem.per_user[m]
-    resid = _sigmoid(data.inputs @ w) - data.targets
-    return data.inputs.T @ resid / data.n_samples + problem.lam * w
+    s = problem.counts[m]
+    X = problem.inputs[m, :s]
+    return X.T @ (_sigmoid(X @ w) - problem.targets[m, :s]) / s + problem.lam * w
 
 
 def global_gradient(problem: Problem, w) -> np.ndarray:
@@ -403,10 +404,14 @@ def local_stoch_grad(
     row per user 0..M-1 and keep the rows of ``ids``, so a user's draw, like
     its gradient, does not depend on which users share the batch; callers
     key the generator by (round, step). A step-1 range inside [0, M) is
-    indexed by views of the per-user arrays, with the same results.
+    indexed by views of the per-user arrays, with the same results, and
+    draws only the block's first ``ids.stop`` rows: generators fill blocks
+    in C order, so those rows are the full block's bitwise.
     """
     rows = _user_rows(problem, ids)
-    n = rows.stop - rows.start if isinstance(rows, slice) else rows.size
+    sliced = isinstance(rows, slice)
+    n = rows.stop - rows.start if sliced else rows.size
+    drawn = rows.stop if sliced else problem.n_users
     W = np.asarray(W, dtype=np.float64)
     if W.shape != (n, problem.dim):
         raise ValueError(f"need W ({n}, {problem.dim}) for {n} ids, got {W.shape}")
@@ -420,16 +425,16 @@ def local_stoch_grad(
         raise ValueError(f"{oracle.kind} oracle needs a random generator")
     if oracle.kind == "minibatch":
         b = oracle.batch_size
-        ids = np.arange(rows.start, rows.stop) if isinstance(rows, slice) else rows
+        ids = np.arange(rows.start, rows.stop) if sliced else rows
         short = ids[problem.counts[ids] < b]
         if short.size:
             m = short[0]
             raise ValueError(f"batch_size {b} exceeds user {m}'s {problem.counts[m]} samples")
         # The b smallest of i.i.d. uniform keys index a uniform subset drawn
         # without replacement; padding keys sit above every real one.
-        keys = rng.random(problem.targets.shape)
-        keys[problem.padding] = 2.0
-        S_max = keys.shape[1]
+        S_max = problem.targets.shape[1]
+        keys = rng.random((drawn, S_max))
+        keys[problem.padding[:drawn]] = 2.0
         flat = ids[:, None] * S_max + np.argpartition(keys[rows], b - 1, axis=1)[:, :b]
         X = problem.inputs.reshape(-1, problem.dim).take(flat, axis=0)
         return _fit_grads(kind, X, problem.targets.take(flat), W) / b + lam * W
@@ -437,7 +442,7 @@ def local_stoch_grad(
     G = _global_grads(problem, W)
     if oracle.delta == 0.0:
         return G
-    D = rng.standard_normal((problem.n_users, problem.dim))[rows]
+    D = rng.standard_normal((drawn, problem.dim))[rows]
     D /= _row_norms(D)[:, None]
     return G + oracle.delta * _row_norms(G)[:, None] * D
 

@@ -9,18 +9,24 @@ evaluated in, and across runs with the same master seed.
 """
 
 import zlib
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = ["substream"]
 
 
+@lru_cache(maxsize=None)
+def _tag(purpose: str) -> int:
+    return zlib.crc32(purpose.encode("utf-8"))
+
+
 def substream(master_seed: int, purpose: str, *indices: int) -> np.random.Generator:
     """Return a fresh generator for the draw identified by the key.
 
     The purpose string is folded to a 32-bit tag with CRC-32 (stable across
-    runs and platforms, unlike ``hash``) and combined with the indices into
-    a ``SeedSequence`` spawn key.
+    runs and platforms, unlike ``hash``; cached per purpose) and combined
+    with the indices into a ``SeedSequence`` spawn key.
 
     Parameters:
 
@@ -32,8 +38,7 @@ def substream(master_seed: int, purpose: str, *indices: int) -> np.random.Genera
 
         numpy.random.Generator seeded purely from the key.
     """
-    tag = zlib.crc32(purpose.encode("utf-8"))
-    key = (tag,) + tuple(int(i) for i in indices)
-    if any(i < 0 for i in key):
+    key = (_tag(purpose), *map(int, indices))
+    if min(key) < 0:
         raise ValueError(f"substream indices must be nonnegative, got {key}")
     return np.random.default_rng(np.random.SeedSequence(int(master_seed), spawn_key=key))

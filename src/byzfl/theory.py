@@ -35,7 +35,8 @@ def gamma(eta, mu: float, L_const: float, delta: float = 0.0):
     low = eta if np.isscalar(eta) else np.min(eta, initial=np.inf)
     if low <= 0:
         raise ValueError(f"eta must be positive, got {low}")
-    return 1.0 - 2.0 * eta * mu + eta * eta * L_const * L_const * (1.0 + delta * delta)
+    with np.errstate(over="ignore"):  # a diverging rate's factor is inf
+        return 1.0 - 2.0 * eta * mu + eta * eta * L_const * L_const * (1.0 + delta * delta)
 
 
 def classify_gamma(gamma_val: float) -> str:

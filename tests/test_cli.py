@@ -259,7 +259,6 @@ class TestFailurePaths:
             for key in ("global_loss", "optimality_gap", "dist_to_opt_sq", "agg_residual"):
                 assert math.isfinite(rec[key])
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_honest_upload_exit_3(self, tmp_path, capsys):
         schedule = {"kind": "uniform", "steps": 2, "eta": 1e300}
         cfg = write_config(tmp_path, tiny_config(schedule=schedule))
@@ -269,10 +268,10 @@ class TestFailurePaths:
         err = capsys.readouterr().err
         assert "internal error" in err and "non-finite" in err
         assert "Traceback" not in err
-        # At most the envelope's contraction factor overflows; the clients'
-        # exact steps stay quiet.
+        # The envelope's contraction factor overflows to inf and the clients'
+        # exact steps diverge, both without floating-point warnings.
         warned = {(Path(w.filename).name, str(w.message)) for w in caught}
-        assert warned <= {("theory.py", "overflow encountered in multiply")}
+        assert warned == set()
 
     def test_threads_env_respected(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, tiny_config(rounds=3))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from byzfl.problems import (
     optimum,
     problem_from_csv,
 )
-from byzfl.problems import _sigmoid
+from byzfl.problems import _sigmoid, _softplus
 from byzfl.problems import test_accuracy as held_out_accuracy
 from byzfl.rng import substream
 
@@ -127,11 +129,46 @@ class TestLosses:
                 ref = np.sum(prob.user_weights * fits) + 0.5 * lam * np.dot(wl - ws, wl + ws)
                 assert abs((global_loss(prob, w) - f_star) - float(ref)) <= 8 * eps * f_star
 
+    def test_softplus_within_two_ulp_of_long_double(self):
+        grid = np.array([0.0, 5e-324, 1e-300, 1e-8, 1.0, 30.0, 700.0, 1e4])
+        z = np.concatenate([grid, -grid[1:]])
+        zl = z.astype(np.longdouble)
+        ref = np.maximum(zl, 0.0) + np.log1p(np.exp(-np.abs(zl)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _softplus(z)
+        ulp = np.spacing(np.abs(ref.astype(np.float64)))
+        assert np.all(np.abs(out.astype(np.longdouble) - ref) <= 2 * ulp)
+
+    def test_logistic_gap_keeps_full_precision_near_the_optimum(self):
+        prob = make_synthetic(p=5, M=20, S_per_user=50, seed=1, heterogeneity=0.5, loss_kind=Logistic(lam=0.1))
+        w_star, f_star = optimum(prob)
+        eps = np.finfo(np.float64).eps
+        X, y = prob.inputs.astype(np.longdouble), prob.targets.astype(np.longdouble)
+
+        def reference(w):
+            z = np.einsum("msp,p->ms", X, w.astype(np.longdouble))
+            fits = np.sum(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - y * z, axis=1) / prob.counts
+            return np.sum(prob.user_weights * fits) + 0.5 * prob.lam * np.sum(w.astype(np.longdouble) ** 2)
+
+        assert global_loss(prob, w_star) - f_star == 0.0
+        f_ref = reference(w_star)
+        rng = np.random.default_rng(12)
+        for s in (1e-2, 1e-5, 1e-8):
+            for _ in range(5):
+                u = rng.standard_normal(5)
+                w = w_star + s * (u / np.linalg.norm(u))
+                gap, ref = global_loss(prob, w) - f_star, float(reference(w) - f_ref)
+                assert abs(gap - ref) <= 4 * eps * f_star
+                if s == 1e-2:
+                    assert gap > 0.0
+                if s == 1e-8:  # the true gap is ~1e-17 here, far below eps * f*
+                    assert abs(gap) <= 4 * eps * f_star
+
     def test_ridge_losses_read_no_samples(self):
         prob = make_synthetic(p=4, M=6, S_per_user=15, seed=4, heterogeneity=0.7)
         w = substream(4, "w").standard_normal(4)
         before = global_loss(prob, w), [local_loss(prob, m, w) for m in range(6)]
-        # Filled in place, so the per-user views read NaN too.
         prob.inputs.fill(np.nan)
         prob.targets.fill(np.nan)
         after = global_loss(prob, w), [local_loss(prob, m, w) for m in range(6)]
@@ -175,8 +212,9 @@ class TestGradients:
         batch = local_stoch_grad(prob, [0] * 4, W, OracleSpec(kind="relative_noise", delta=0.0), substream(0, "grad"))
         for w, row in zip(W, batch):
             loop = prob.lam * w
-            for u, d in zip(prob.user_weights, prob.per_user):
-                loop = loop + u * (d.inputs.T @ (_sigmoid(d.inputs @ w) - d.targets) / d.n_samples)
+            for u, X, y, s in zip(prob.user_weights, prob.inputs, prob.targets, prob.counts):
+                X, y = X[:s], y[:s]
+                loop = loop + u * (X.T @ (_sigmoid(X @ w) - y) / s)
             assert np.array_equal(global_gradient(prob, w), loop)
             assert np.array_equal(row, loop)
 
@@ -377,21 +415,19 @@ class TestMakeSynthetic:
     def test_same_seed_bitwise_identical(self):
         a = make_synthetic(p=4, M=3, S_per_user=10, seed=5, heterogeneity=0.5)
         b = make_synthetic(p=4, M=3, S_per_user=10, seed=5, heterogeneity=0.5)
-        for da, db in zip(a.per_user, b.per_user):
-            assert da.inputs.tobytes() == db.inputs.tobytes()
-            assert da.targets.tobytes() == db.targets.tobytes()
+        assert a.inputs.tobytes() == b.inputs.tobytes()
+        assert a.targets.tobytes() == b.targets.tobytes()
 
     def test_different_seeds_differ(self):
         a = make_synthetic(p=4, M=2, S_per_user=10, seed=5)
         b = make_synthetic(p=4, M=2, S_per_user=10, seed=6)
-        assert a.per_user[0].inputs.tobytes() != b.per_user[0].inputs.tobytes()
+        assert a.inputs[0].tobytes() != b.inputs[0].tobytes()
 
     def test_zero_heterogeneity_identical_users(self):
         prob = make_synthetic(p=3, M=4, S_per_user=8, seed=7, heterogeneity=0.0)
-        ref = prob.per_user[0]
-        for d in prob.per_user[1:]:
-            assert d.inputs.tobytes() == ref.inputs.tobytes()
-            assert d.targets.tobytes() == ref.targets.tobytes()
+        for X, y in zip(prob.inputs[1:], prob.targets[1:]):
+            assert X.tobytes() == prob.inputs[0].tobytes()
+            assert y.tobytes() == prob.targets[0].tobytes()
 
     @pytest.mark.parametrize("h", [0.0, 0.3])
     @pytest.mark.parametrize("kind", [Ridge(lam=0.5), Logistic(lam=0.1)], ids=lambda k: type(k).__name__)
@@ -400,19 +436,18 @@ class TestMakeSynthetic:
         # each user's own products bit for bit.
         for p, M, S in ((10, 50, 200), (3, 7, 33), (17, 5, 1), (50, 4, 50)):
             prob = make_synthetic(p=p, M=M, S_per_user=S, seed=2, heterogeneity=h, loss_kind=kind)
-            for m, d in enumerate(prob.per_user):
-                assert np.array_equal(prob.grams[m], d.inputs.T @ d.inputs / d.n_samples)
-                assert np.array_equal(prob.moments[m], d.inputs.T @ d.targets / d.n_samples)
+            for m, (X, y) in enumerate(zip(prob.inputs, prob.targets)):
+                assert np.array_equal(prob.grams[m], X.T @ X / S)
+                assert np.array_equal(prob.moments[m], X.T @ y / S)
 
     def test_zero_heterogeneity_users_hold_the_shared_draws(self):
         prob = make_synthetic(p=3, M=4, S_per_user=8, seed=7, heterogeneity=0.0)
         shared = substream(7, "data-x-shared").standard_normal((8, 3))
-        assert all(d.inputs.tobytes() == shared.tobytes() for d in prob.per_user)
+        assert all(X.tobytes() == shared.tobytes() for X in prob.inputs)
 
     def test_logistic_labels_binary_with_test_set(self):
         prob = make_synthetic(p=3, M=2, S_per_user=10, seed=8, loss_kind=Logistic(lam=0.1))
-        for d in prob.per_user:
-            assert set(np.unique(d.targets)) <= {0.0, 1.0}
+        assert set(np.unique(prob.targets)) <= {0.0, 1.0}
         assert prob.test_set is not None
         assert held_out_accuracy(prob, np.zeros(3)) >= 0.0
 
@@ -456,21 +491,23 @@ class TestCsvImport:
 
     def test_users_are_views_of_zero_padded_stack(self, tmp_path):
         rng = np.random.default_rng(2)
-        paths = []
+        paths, tables = [], []
         for m, s in enumerate([4, 12]):
             table = np.column_stack([rng.standard_normal((s, 2)), rng.standard_normal(s)])
             path = tmp_path / f"u{m}.csv"
             np.savetxt(path, table, delimiter=",")
             paths.append(str(path))
+            tables.append(np.loadtxt(path, delimiter=","))
         prob = problem_from_csv(paths, Ridge(lam=0.2))
         assert prob.inputs.shape == (2, 12, 2) and list(prob.counts) == [4, 12]
         assert not np.any(prob.inputs[0, 4:])
-        for d in prob.per_user:
-            assert np.shares_memory(d.inputs, prob.inputs) and np.shares_memory(d.targets, prob.targets)
-        assert prob.per_user[0].n_samples == 4
-        synthetic = make_synthetic(p=3, M=4, S_per_user=5, seed=1)
-        assert all(np.shares_memory(d.inputs, synthetic.inputs) for d in synthetic.per_user)
+        for X, y, s, table in zip(prob.inputs, prob.targets, prob.counts, tables):
+            assert np.array_equal(X[:s], table[:, :-1]) and np.array_equal(y[:s], table[:, -1])
         bad = prob.inputs.copy()
         bad[0, 7, 1] = 1.0
         with pytest.raises(ValueError):
             Problem(bad, prob.targets, prob.counts, Ridge(lam=0.2))
+        bad = prob.targets.copy()
+        bad[1, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            Problem(prob.inputs, bad, prob.counts, Ridge(lam=0.2))
