@@ -158,10 +158,13 @@ def geometric_median(points, spec: AggregatorSpec | None = None) -> AggregateRes
     Unshifted, a cluster 1e-8 wide at distance 1 from the origin puts 1e-8
     relative error in every unit vector, and ``tol`` becomes unreachable.
 
-    Starts from the coordinate-wise mean and iterates inverse-distance
-    weighted averages, with per-point distances floored at
-    ``smoothing * spread`` (spread = largest distance from the initial mean
-    to a point). Stops when both the iterate displacement and the smoothed
+    The iteration starts at c itself, which for the same reason sits next
+    to the honest points however far the corrupted ones lie; the mean,
+    which they drag away, is the start only when c coincides with a point,
+    where the floored weight of that point would hold the iterate on a
+    vertex that need not be optimal. Per-point distances are floored at
+    ``smoothing * spread`` (spread = largest distance from the start to a
+    point). Stops when both the iterate displacement and the smoothed
     subgradient norm (``residual``) drop to ``tol``, or at ``max_iters``
     with ``converged=False``. ``tol``, ``smoothing`` and ``max_iters`` come
     from ``spec`` (default ``AggregatorSpec()``); its kind is not read.
@@ -179,13 +182,18 @@ def geometric_median(points, spec: AggregatorSpec | None = None) -> AggregateRes
             residual=0.0,
         )
 
-    original = pts
     mid = pts.shape[0] // 2
     center = np.partition(pts, mid, axis=0)[mid]
-    pts = pts - center
-    x = pts.mean(axis=0)
-    diffs = x - pts
-    dists = _row_norms(diffs)
+    start = np.zeros(pts.shape[1])
+    if (pts == center).all(axis=1).any():
+        start = (pts - center).mean(axis=0)
+    return _weiszfeld(pts, center, start, spec)
+
+
+def _weiszfeld(original: np.ndarray, center: np.ndarray, x: np.ndarray, spec: AggregatorSpec) -> AggregateResult:
+    """``geometric_median``'s iteration on the rows ``original - center``, from x in that frame."""
+    pts = original - center
+    dists = _row_norms(x - pts)
     floor = max(spec.smoothing * float(dists.max()), _TINY)
 
     iterations = 0

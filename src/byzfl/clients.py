@@ -3,9 +3,10 @@
 Honest clients run K^t SGD steps from the broadcast iterate with per-step
 rates eta(t, m, k), all of them together: step k is one batched gradient
 evaluation over the honest clients, at rates the caller passes as one
-array. Its random draws come from one stream keyed by (round, step) that
-holds a fixed row per client id, so a client's upload does not depend on
-which other clients share the batch or on their order. On ridge with the
+array. The round's random draws come from one stream keyed by the round,
+of which step k reads the k-th block, and each block holds a fixed row
+per client id, so a client's upload does not depend on which other
+clients share the batch or on their order. On ridge with the
 full oracle, the K^t steps of a client with one rate for the round are one
 affine map, applied in closed form from the problem's eigendecompositions.
 Byzantine clients ignore schedules and data entirely and emit the vector
@@ -64,10 +65,11 @@ def honest_local_update(
 
     ``eta`` is the round's (len(ids), K^t) rate array: row i, column k - 1
     is eta(t, ids[i], k), so K^t is its column count. Step k uses one
-    batched gradient whose draws come from the stream keyed
-    (master_seed, 'grad', t, k), so each row is independent of the batch's
-    membership and order. K^t = 0 returns copies of w_t. A range of ids is
-    passed on as a range, which ``local_stoch_grad`` indexes by views.
+    batched gradient whose draws are the k-th (M, .) block of the stream
+    keyed (master_seed, 'grad', t), so each row is independent of the
+    batch's membership and order. K^t = 0 returns copies of w_t. A range of
+    ids is passed on as a range, which ``local_stoch_grad`` indexes by
+    views.
 
     Full-oracle ridge rows whose rate is the same at every step and whose
     user Hessian is positive definite take the exact K^t-step map
@@ -99,10 +101,9 @@ def honest_local_update(
 def _local_sgd(problem, ids, w_t, t, eta, oracle, master_seed) -> np.ndarray:
     """The K^t-step loop of ``honest_local_update``: one batched gradient step per k."""
     W = np.tile(w_t, (eta.shape[0], 1))
-    needs_rng = oracle.kind != "full"
-    for k in range(1, eta.shape[1] + 1):
-        rng = substream(master_seed, "grad", t, k) if needs_rng else None
-        W -= eta[:, k - 1, None] * local_stoch_grad(problem, ids, W, oracle, rng)
+    rng = substream(master_seed, "grad", t) if oracle.kind != "full" else None
+    for k in range(eta.shape[1]):
+        W -= eta[:, k, None] * local_stoch_grad(problem, ids, W, oracle, rng)
     return W
 
 

@@ -183,10 +183,11 @@ class AggregatorSpec:
 
     geomed reads the Weiszfeld knobs: tol bounds both the iterate
     displacement and the smoothed-subgradient norm at exit; smoothing is a
-    floor on per-point distances, relative to the spread of the inputs, that
-    keeps the inverse-distance weights finite when the iterate lands on a
-    data point. trimmed_mean reads trim_fraction, the share dropped from
-    each tail.
+    floor on per-point distances, relative to the spread of the inputs (the
+    largest distance from the start, the coordinate-wise order statistic,
+    or the mean when that statistic is an input), that keeps the
+    inverse-distance weights finite when the iterate lands on a data point.
+    trimmed_mean reads trim_fraction, the share dropped from each tail.
     """
 
     kind: str = "geomed"

@@ -400,18 +400,18 @@ def local_stoch_grad(
 ) -> np.ndarray:
     """Stochastic gradients of a batch of users: row i is user ids[i]'s at W[i].
 
-    The full oracle ignores rng. The others draw one block from it with a
-    row per user 0..M-1 and keep the rows of ``ids``, so a user's draw, like
-    its gradient, does not depend on which users share the batch; callers
-    key the generator by (round, step). A step-1 range inside [0, M) is
-    indexed by views of the per-user arrays, with the same results, and
-    draws only the block's first ``ids.stop`` rows: generators fill blocks
-    in C order, so those rows are the full block's bitwise.
+    The full oracle ignores rng. The others draw one whole block from it
+    with a row per user 0..M-1, whatever the batch, and keep the rows of
+    ``ids``, so a user's draw, like its gradient, does not depend on which
+    users share the batch. Every call advances rng by the same amount, so
+    a caller that draws its local steps in turn from one generator (one
+    per round, keyed (round,)) reads step k's block at the same offset for
+    every batch. A step-1 range inside [0, M) is indexed by views of the
+    per-user arrays, with the same results.
     """
     rows = _user_rows(problem, ids)
     sliced = isinstance(rows, slice)
     n = rows.stop - rows.start if sliced else rows.size
-    drawn = rows.stop if sliced else problem.n_users
     W = np.asarray(W, dtype=np.float64)
     if W.shape != (n, problem.dim):
         raise ValueError(f"need W ({n}, {problem.dim}) for {n} ids, got {W.shape}")
@@ -433,16 +433,16 @@ def local_stoch_grad(
         # The b smallest of i.i.d. uniform keys index a uniform subset drawn
         # without replacement; padding keys sit above every real one.
         S_max = problem.targets.shape[1]
-        keys = rng.random((drawn, S_max))
-        keys[problem.padding[:drawn]] = 2.0
-        flat = ids[:, None] * S_max + np.argpartition(keys[rows], b - 1, axis=1)[:, :b]
+        keys = rng.random((problem.n_users, S_max))[rows]
+        keys[problem.padding[rows]] = 2.0
+        flat = ids[:, None] * S_max + np.argpartition(keys, b - 1, axis=1)[:, :b]
         X = problem.inputs.reshape(-1, problem.dim).take(flat, axis=0)
         return _fit_grads(kind, X, problem.targets.take(flat), W) / b + lam * W
     # relative_noise: perturb the global gradient along a uniform unit direction.
     G = _global_grads(problem, W)
     if oracle.delta == 0.0:
         return G
-    D = rng.standard_normal((drawn, problem.dim))[rows]
+    D = rng.standard_normal((problem.n_users, problem.dim))[rows]
     D /= _row_norms(D)[:, None]
     return G + oracle.delta * _row_norms(G)[:, None] * D
 

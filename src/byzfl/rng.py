@@ -3,8 +3,11 @@
 Every random draw in a simulation is produced by a generator derived from
 ``(master_seed, purpose, *indices)``, where ``purpose`` is a short string
 naming the draw site (e.g. ``"grad"``, ``"attack"``) and the indices
-identify round, client, or step. Because the generator is a pure function
-of the key, the same draw is obtained no matter which order clients are
+locate the draw (the round for gradient and attack draws, the user for
+data draws). A generator serves a whole draw site: a round's local steps
+read successive blocks of its ``"grad"`` stream, and each block holds a
+fixed row per client. Because the generator is a pure function of the
+key, the same draw is obtained no matter which order clients are
 evaluated in, and across runs with the same master seed.
 """
 
@@ -32,7 +35,7 @@ def substream(master_seed: int, purpose: str, *indices: int) -> np.random.Genera
 
         master_seed: experiment-level seed, shared by all substreams.
         purpose: name of the draw site.
-        indices: integer coordinates of the draw (round, client, step, ...).
+        indices: integer coordinates of the draw (round, user, ...).
 
     Returns:
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import theory
-from .aggregation import ball_robustness_check, geomed_objective, geometric_median
+from .aggregation import _weiszfeld, ball_robustness_check, geomed_objective, geometric_median
 from .config import (
     AggregatorSpec,
     AttackSpec,
@@ -184,24 +184,69 @@ def _majority_exactness_cases(n_cases: int = 300, seed: int = 79) -> list[dict]:
 
 
 def _descent_cases(n_cases: int = 200, seed: int = 80) -> list[dict]:
+    """Smoothed Weiszfeld steps never raise the objective, from the mean or from the coordinate-wise order statistic.
+
+    The order statistic is skipped when it is one of the points: its own
+    floored distance breaks the descent argument there, which is why
+    ``geometric_median`` starts from the mean in that case.
+    """
     rng = np.random.default_rng(seed)
     failures = []
     for case in range(n_cases):
         n = int(rng.integers(3, 20))
         p = int(rng.integers(1, 10))
         pts = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-1, 2)
-        x = pts.mean(axis=0)
-        floor = 1e-10 * float(np.linalg.norm(pts - x, axis=1).max())
-        prev = geomed_objective(pts, x)
-        for it in range(150):
-            d = np.maximum(np.linalg.norm(pts - x, axis=1), floor)
-            w = 1.0 / d
-            x = w @ pts / w.sum()
-            obj = geomed_objective(pts, x)
-            if obj > prev * (1 + 1e-12):
-                failures.append({"case": case, "iteration": it, "rise": obj - prev})
-                break
-            prev = obj
+        starts = {"mean": pts.mean(axis=0)}
+        center = np.partition(pts, n // 2, axis=0)[n // 2]
+        if not (pts == center).all(axis=1).any():
+            starts["order-statistic"] = center
+        for start, x in starts.items():
+            floor = 1e-10 * float(np.linalg.norm(pts - x, axis=1).max())
+            prev = geomed_objective(pts, x)
+            for it in range(150):
+                d = np.maximum(np.linalg.norm(pts - x, axis=1), floor)
+                w = 1.0 / d
+                x = w @ pts / w.sum()
+                obj = geomed_objective(pts, x)
+                if obj > prev * (1 + 1e-12):
+                    failures.append({"case": case, "start": start, "iteration": it, "rise": obj - prev})
+                    break
+                prev = obj
+    return failures
+
+
+def _start_cases(n_cases: int = 400, seed: int = 81) -> list[dict]:
+    """The shipped Weiszfeld start against a mean start, on integer-lattice point sets.
+
+    Lattice points often put the coordinate-wise order statistic, the
+    shipped start, on a point or on a vertex of another point's cell, where
+    a floored weight can hold the iterate. For smoothing 0 and 1e-10, each
+    case's objective must be at most 1e-6 relative above that of the
+    iteration started at the mean (a lower one means the mean start
+    stalled), and the shipped start may leave no more cases unconverged.
+    """
+    rng = np.random.default_rng(seed)
+    sets = []
+    for _ in range(n_cases):
+        n, p, k = int(rng.integers(2, 12)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        sets.append(rng.integers(-k, k + 1, size=(n, p)).astype(np.float64))
+    failures = []
+    for smoothing in (0.0, 1e-10):
+        spec = AggregatorSpec(smoothing=smoothing)
+        unconverged = [0, 0]
+        for case, pts in enumerate(sets):
+            got = geometric_median(pts, spec)
+            mid = pts.shape[0] // 2
+            center = np.partition(pts, mid, axis=0)[mid]
+            ref = _weiszfeld(pts, center, (pts - center).mean(axis=0), spec)
+            unconverged[0] += not got.converged
+            unconverged[1] += not ref.converged
+            if got.objective > ref.objective * (1 + 1e-6):
+                failures.append(
+                    {"case": case, "smoothing": smoothing, "objective": got.objective, "mean_start": ref.objective}
+                )
+        if unconverged[0] > unconverged[1]:
+            failures.append({"smoothing": smoothing, "unconverged": unconverged[0], "mean_start": unconverged[1]})
     return failures
 
 
@@ -212,6 +257,7 @@ def geomed_suite(seed: int = 2024, n_ball: int = 10_000) -> list[PropertyResult]
         PropertyResult("translation-scaling-equivariance", 1000, equivariance_cases(1000, seed + 2)),
         PropertyResult("majority-coincidence-exactness", 300, _majority_exactness_cases(300, seed + 3)),
         PropertyResult("weiszfeld-monotone-descent", 200, _descent_cases(200, seed + 4)),
+        PropertyResult("weiszfeld-start-lattice", 400, _start_cases(400, seed + 5)),
     ]
 
 

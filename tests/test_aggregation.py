@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,6 +207,43 @@ class TestGeometricMedian:
         assert res.converged
         assert np.array_equal(res.value, np.full(dim, c - 1.0))
 
+    def test_order_statistic_start_halves_the_iterations(self):
+        # ridge_noisy's shape: 40 honest rows in a tight ball, 10 rows with
+        # sigma = 10. The mean, which the far rows drag ~2 away, costs about
+        # eight iterations to cross into the cluster; the coordinate-wise
+        # order statistic starts inside it. The ball (radius 1e-9) lies
+        # within the smoothing floor (1e-10 times a spread of ~40), as
+        # ridge_noisy's clusters (~3e-11 wide) do; a wider one adds the same
+        # in-cluster iterations to both starts.
+        def mean_start_weiszfeld(pts, tol, smoothing, max_iters):
+            mid = pts.shape[0] // 2
+            c = np.partition(pts, mid, axis=0)[mid]
+            z = pts - c
+            x = z.mean(axis=0)
+            floor = smoothing * np.linalg.norm(x - z, axis=1).max()
+            for it in range(1, max_iters + 1):
+                w = 1.0 / np.maximum(np.linalg.norm(x - z, axis=1), floor)
+                x_next = w @ z / w.sum()
+                step, x = np.linalg.norm(x_next - x), x_next
+                d = np.maximum(np.linalg.norm(x - z, axis=1), floor)
+                if step <= tol and np.linalg.norm(((x - z) / d[:, None]).sum(axis=0)) <= tol:
+                    return x + c, it
+            raise AssertionError("the reference did not converge")
+
+        spec = AggregatorSpec()
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            p = 10
+            dirs = rng.standard_normal((40, p))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            honest = rng.standard_normal(p) + 1e-9 * rng.random((40, 1)) ** (1 / p) * dirs
+            pts = np.vstack([honest, 10.0 * rng.standard_normal((10, p))])
+            res = geometric_median(pts, spec)
+            ref, ref_iters = mean_start_weiszfeld(pts, spec.tol, spec.smoothing, spec.max_iters)
+            assert res.converged
+            assert np.linalg.norm(res.value - ref) <= 10 * spec.tol
+            assert 2 * res.iterations <= ref_iters, (res.iterations, ref_iters)
+
     # Positional equivariance within 10*tol is checked on 1000 generic random
     # configurations in byzfl.verify (and the acceptance suite). Hypothesis is
     # free to construct exactly degenerate configurations (flat valleys, ties)
@@ -362,6 +401,22 @@ class TestRobustness:
         assert res.converged
         assert res.iterations <= 100
         assert np.linalg.norm(res.value - center) <= RobustnessCert(n=50, q=10).c_alpha * r
+
+    def test_three_far_rows_leave_a_finite_median(self):
+        # Rows at +-1.3e154 * e1 have finite squared norms, so the server
+        # keeps them. From the mean (~6.5e152 * e1) the distance to the
+        # negative row would square past the float range and give a nan
+        # median; the order statistic starts in the honest cluster. How far
+        # the median may then move is the ball guarantee's question.
+        rng = np.random.default_rng(1)
+        e1 = np.eye(5)[0]
+        honest = 1.0 + 1e-3 * rng.uniform(-1.0, 1.0, (17, 5))
+        pts = np.vstack([honest, 1.3e154 * e1, 1.3e154 * e1, -1.3e154 * e1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = geometric_median(pts)
+        assert res.converged
+        assert np.isfinite(res.value).all() and np.isfinite(res.objective)
 
     def test_randomized_cases(self):
         # Small slice of the verification suite; the full 10k-case run lives

@@ -81,8 +81,8 @@ class TestHonestLocalUpdate:
 
     def test_telescoping_identity(self):
         # z equals w_t minus the sum of eta * gradient steps, reconstructed
-        # from the same keyed streams: one (round, step) block per step, of
-        # which client m reads its own row.
+        # from the same keyed stream: step k reads the k-th (M, p) block of
+        # the round's stream, and client m its own row of it.
         prob = make_synthetic(p=4, M=3, S_per_user=20, seed=5, heterogeneity=0.4)
         mode = OracleSpec(kind="relative_noise", delta=0.3)
         rates = 0.01 * np.arange(1, 7) + 0.002 * np.arange(3)[:, None]
@@ -92,9 +92,10 @@ class TestHonestLocalUpdate:
 
         w = w_t.copy()
         total = np.zeros(4)
+        stream = substream(seed, "grad", t)
         for k in range(1, 7):
             g = global_gradient(prob, w)
-            u = substream(seed, "grad", t, k).standard_normal((prob.n_users, 4))[m]
+            u = stream.standard_normal((prob.n_users, 4))[m]
             g = g + 0.3 * np.linalg.norm(g) * u / np.linalg.norm(u)
             total += rates[m, k - 1] * g
             w = w - rates[m, k - 1] * g
@@ -129,15 +130,21 @@ class TestHonestLocalUpdate:
                     assert np.array_equal(full[m], w)
         else:
             assert not np.array_equal(full[0], honest_local_update(prob, [0], w_t, 3, rates[[0]], mode, 17)[0])
-        # The same ids as a range: a step-1 range inside [0, M) is indexed by
-        # views and must give the list's result bitwise, whatever its start;
-        # any other range takes the list's path, errors included.
+        # The same ids as a range, the form the server passes: a step-1 range
+        # inside [0, M) is indexed by views and must give the list's result
+        # bitwise, whatever its start, so no step's draws may depend on the
+        # form of the batch; any other range takes the list's path, errors
+        # included.
         assert np.array_equal(honest_local_update(prob, range(6), w_t, 2, rates[:6], mode, 17), full)
         for m in honest:
             assert np.array_equal(honest_local_update(prob, range(m, m + 1), w_t, 2, rates[[m]], mode, 17)[0], full[m])
+        # Successive steps on one generator read the same blocks whatever
+        # the form of the batch.
         W = substream(4, "W").standard_normal((3, 5))
-        G = local_stoch_grad(prob, range(1, 4), W, mode, substream(17, "grad", 2, 1))
-        assert np.array_equal(G, local_stoch_grad(prob, [1, 2, 3], W, mode, substream(17, "grad", 2, 1)))
+        by_range, by_list = substream(17, "grad", 2), substream(17, "grad", 2)
+        for _ in range(2):
+            G = local_stoch_grad(prob, range(1, 4), W, mode, by_range)
+            assert np.array_equal(G, local_stoch_grad(prob, [1, 2, 3], W, mode, by_list))
         assert np.array_equal(
             honest_local_update(prob, range(0, 7, 2), w_t, 2, rates[::2], mode, 17),
             honest_local_update(prob, [0, 2, 4, 6], w_t, 2, rates[::2], mode, 17),
@@ -145,7 +152,7 @@ class TestHonestLocalUpdate:
         for bad in (range(0, 8), range(-1, 2)):
             for ids in (bad, list(bad)):
                 with pytest.raises(ValueError, match=r"user ids must lie in \[0, 7\)"):
-                    local_stoch_grad(prob, ids, np.zeros((len(bad), 5)), mode, substream(17, "grad", 2, 1))
+                    local_stoch_grad(prob, ids, np.zeros((len(bad), 5)), mode, substream(17, "grad", 2))
 
     def test_reproducible_and_order_independent(self):
         prob = make_synthetic(p=3, M=4, S_per_user=15, seed=6, heterogeneity=0.5)

@@ -22,9 +22,11 @@ def test_substream_rejects_negative_indices():
 
 @pytest.mark.parametrize("rows, cols", [(1, 1), (3, 7), (40, 10), (100, 20)])
 def test_block_draws_are_row_prefixes_of_larger_blocks(rows, cols):
-    # The stochastic oracles draw only the first rows of their (M, .) block
-    # when the batch is a leading range; this holds because generators fill
-    # blocks in C order.
+    # Generators fill blocks in C order, so a smaller block is a row prefix
+    # of a larger one. No oracle relies on this: each stochastic step draws
+    # its whole (M, .) block, so that the steps sharing a round's generator
+    # read the same blocks whatever the batch. A draw trimmed to a leading
+    # range would stay bitwise right only for a generator used once.
     for stop in (0, 1, rows // 2, rows):
         full = substream(5, "prefix", rows, cols)
         part = substream(5, "prefix", rows, cols)
