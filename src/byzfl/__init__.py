@@ -2,7 +2,6 @@
 
 from .aggregation import (
     AggregateResult,
-    RobustnessCert,
     ball_robustness_check,
     coordinate_median,
     geomed_objective,
@@ -32,18 +31,13 @@ from .problems import (
 from .rng import substream
 from .server import TraceRecord, prepare, run_experiment, run_prepared, run_round
 from .theory import (
-    BoundSeries,
     TheoryParams,
     c_beta,
-    classify_gamma,
     gamma,
     min_K,
     stable_eta_range,
     theorem1_bound,
-    theorem1_series,
-    theorem2_bound,
     theorem2_round_multiplier,
-    zero_gap_condition,
 )
 
 __version__ = "0.1.0"

@@ -5,7 +5,8 @@ iteration; arithmetic mean, coordinate-wise median, and trimmed mean are
 provided as baselines. ``ball_robustness_check`` packages the deterministic
 robustness guarantee of the geometric median (if at least n - q of n points
 lie within radius r of a center and q < n/2, the median lies within
-C_alpha * r of that center, alpha = q/n) as a reusable test oracle.
+C_alpha * r of that center, C_alpha = ``theory.c_beta(q / n)``) as a
+reusable test oracle.
 
 All functions are pure; parameter vectors are 1-D float arrays of a common
 dimension p >= 1 with finite entries.
@@ -17,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import AggregatorSpec
+from .theory import c_beta
 
 __all__ = [
     "AggregateResult",
-    "RobustnessCert",
     "geomed_objective",
     "geometric_median",
     "mean",
@@ -41,33 +42,6 @@ class AggregateResult:
     objective: float
     converged: bool
     residual: float
-
-
-@dataclass(frozen=True)
-class RobustnessCert:
-    """Corruption bookkeeping for the geometric-median guarantee."""
-
-    n: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need at least one point, got n={self.n}")
-        if not 0 <= self.q:
-            raise ValueError(f"corrupted count must be nonnegative, got q={self.q}")
-        if 2 * self.q >= self.n:
-            raise ValueError(
-                "geometric median has no robustness guarantee at or above half corruption: "
-                f"q={self.q}, n={self.n}"
-            )
-
-    @property
-    def alpha(self) -> float:
-        return self.q / self.n
-
-    @property
-    def c_alpha(self) -> float:
-        return (2.0 - 2.0 * self.alpha) / (1.0 - 2.0 * self.alpha)
 
 
 def _as_matrix(points) -> np.ndarray:
@@ -266,22 +240,24 @@ def trimmed_mean(points, trim_fraction: float) -> np.ndarray:
 def ball_robustness_check(points, center, radius: float, q: int, value) -> bool:
     """Check the deterministic ball guarantee on ``value``, the points' computed geometric median.
 
-    Requires q < n/2 and at least n - q points within `radius` of `center`
-    (verified, with a relative slack of 1e-9 on the radius for rounding in
-    the caller's sampling arithmetic). Returns True iff ``value`` lies
-    within c_alpha * radius of the center.
+    Requires at least n - q points within `radius` of `center` (verified,
+    with a relative slack of 1e-9 on the radius for rounding in the
+    caller's sampling arithmetic). Returns True iff ``value`` lies within
+    C_alpha * radius of the center, C_alpha = ``theory.c_beta(q / n)``,
+    which raises ValueError unless 0 <= q < n/2.
     """
     pts = _as_matrix(points)
     center = _check_vector(center, pts.shape[1])
     value = _check_vector(value, pts.shape[1])
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    cert = RobustnessCert(n=pts.shape[0], q=int(q))
+    n, q = pts.shape[0], int(q)
+    c_alpha = c_beta(q / n)
     dists = np.linalg.norm(pts - center, axis=1)
     inside = int((dists <= radius * (1.0 + 1e-9) + 1e-12).sum())
-    if inside < cert.n - cert.q:
+    if inside < n - q:
         raise ValueError(
-            f"precondition violated: only {inside} of {cert.n} points lie within "
-            f"radius {radius} of the center (need {cert.n - cert.q})"
+            f"precondition violated: only {inside} of {n} points lie within "
+            f"radius {radius} of the center (need {n - q})"
         )
-    return float(np.linalg.norm(value - center)) <= cert.c_alpha * radius
+    return float(np.linalg.norm(value - center)) <= c_alpha * radius

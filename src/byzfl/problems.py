@@ -2,13 +2,13 @@
 
 Ridge and logistic problems over per-user datasets, exposing the weighted
 global loss, per-user local losses, exact and stochastic gradients, the
-strong-convexity / smoothness constants (mu, L), and the global minimizer.
-A problem stores all users' samples once, as zero-padded stacked arrays, so
-the stochastic oracle evaluates a whole batch of users in one call. Ridge
-problems also hold each user's Hessian eigendecomposition, in which K
-full-gradient steps at one rate are one closed-form map.
-Everything here is deterministic given its inputs; stochastic gradient
-oracles take an explicit generator so callers control the stream.
+strong-convexity / smoothness constants (mu, L), and the global minimizer,
+which a ridge problem solves once, when it is built. A problem stores all
+users' samples once, as zero-padded stacked arrays, so the stochastic
+oracle evaluates a whole batch of users in one call. Ridge problems also
+hold each user's Hessian eigendecomposition, in which K full-gradient
+steps at one rate are one closed-form map. Everything here is deterministic
+given its inputs; stochastic oracles take the generator they draw from.
 """
 
 from dataclasses import dataclass, field
@@ -19,6 +19,8 @@ import numpy as np
 from .aggregation import _row_norms
 from .config import OracleSpec
 from .rng import substream
+
+_SOLVE_RTOL = 1e-12  # ridge normal-equation residual target, relative to ||b||
 
 __all__ = [
     "Ridge",
@@ -108,11 +110,12 @@ class Problem:
 
     Cached on build: ``grams`` G_m = X_m'X_m/S_m (M, p, p) and ``moments``
     c_m = X_m'y_m/S_m (M, p), each one stacked product over the padded data.
-    Ridge problems also cache the centring point
-    ``center`` w_c, the lstsq solution of (G + lam I) w = c for the weighted
-    G and c, and per user ``center_moments`` q_m = c_m - G_m w_c (M, p) and
-    ``center_residuals`` rho_m = mean((y_m - X_m w_c)^2) (M,), from which
-    their losses are evaluated; all three are None for logistic problems.
+    Ridge problems also cache ``center`` w_c, the one solve of
+    (G + lam I) w = c for the weighted G and c (lstsq, refined), which
+    ``optimum`` returns as w*, and per user ``center_moments`` q_m =
+    c_m - G_m w_c (M, p) and ``center_residuals`` rho_m =
+    mean((y_m - X_m w_c)^2) (M,), from which their losses are evaluated;
+    all three are None for logistic problems.
     Ridge ``spectrum`` is built on first use.
     """
 
@@ -159,10 +162,16 @@ class Problem:
         self._moment_global = sum(u * c for u, c in zip(self.user_weights, self.moments))
         if isinstance(self.loss_kind, Ridge):
             # lstsq, unlike solve, accepts a singular Hessian; constants()
-            # reports that case. Padding rows add exact zeros to rho.
-            H = self._gram_global + self.lam * np.eye(self.dim)
-            self.center = np.linalg.lstsq(H, self._moment_global, rcond=None)[0]
+            # reports that case, and optimum() a stalled refinement.
+            H, b = self._gram_global + self.lam * np.eye(self.dim), self._moment_global
+            self.center = np.linalg.lstsq(H, b, rcond=None)[0]
+            for _ in range(10):
+                r = b - H @ self.center
+                if np.linalg.norm(r) <= _SOLVE_RTOL * np.linalg.norm(b):
+                    break
+                self.center = self.center + np.linalg.lstsq(H, r, rcond=None)[0]
             self.center_moments = self.moments - np.matmul(self.grams, self.center)
+            # Padding rows add exact zeros to rho.
             resid = self.targets - np.matmul(self.inputs, self.center)
             self.center_residuals = np.add.reduce(resid * resid, axis=1) / self.counts
         if self.test_set is not None and self.test_set.dim != self.dim:
@@ -477,25 +486,20 @@ def optimum(
 ) -> tuple[np.ndarray, float]:
     """Global minimizer w* and its loss value.
 
-    Ridge: direct solve of the normal equations with iterative refinement to
-    residual <= 1e-12 * ||b||. Logistic: full-gradient descent (step
-    2/(mu+L)) to gradient norm <= grad_tol; an oracle, not a closed form.
+    Ridge: the Problem's ``center``, its one solve of the normal equations,
+    once the residual is checked to be <= 1e-12 * ||b||; f* is the loss at
+    that centring point. Logistic: full-gradient descent (step 2/(mu+L)) to
+    gradient norm <= grad_tol; an oracle, not a closed form.
     ``consts`` are the problem's constants(), computed here when not given.
     Raises RuntimeError with the residual if the solve does not converge.
     """
     if isinstance(problem.loss_kind, Ridge):
+        w, b = problem.center, problem._moment_global
         H = problem._gram_global + problem.lam * np.eye(problem.dim)
-        b = problem._moment_global
-        w = np.linalg.solve(H, b)
-        target = 1e-12 * np.linalg.norm(b)
-        for _ in range(10):
-            r = b - H @ w
-            if np.linalg.norm(r) <= target:
-                break
-            w = w + np.linalg.solve(H, r)
-        else:
+        residual, target = np.linalg.norm(b - H @ w), _SOLVE_RTOL * np.linalg.norm(b)
+        if residual > target:
             raise RuntimeError(
-                f"normal-equation solve stalled at residual {np.linalg.norm(b - H @ w):.3e} "
+                f"normal-equation solve stalled at residual {residual:.3e} "
                 f"(target {target:.3e}); Hessian may be near-singular"
             )
         return w, global_loss(problem, w)

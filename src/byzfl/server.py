@@ -75,8 +75,10 @@ class TraceRecord:
     """Per-round measurements and envelopes.
 
     ``theorem1_bound`` is None for non-uniform schedules, where the fixed-K
-    envelope is undefined. ``wall_time_s`` is measured, hence excluded from
-    the serialized form so trace files stay byte-identical across runs.
+    envelope is undefined. ``assumption_violating`` is true for a minibatch
+    oracle and when honest users' data are not bitwise identical, so that no
+    shared minimiser is assured. ``wall_time_s`` is measured, hence excluded
+    from the serialized form so trace files stay byte-identical across runs.
     """
 
     t: int
@@ -156,6 +158,12 @@ def _resolve_schedule(spec: ScheduleSpec, consts, M: int, B: int, master_seed: i
 
     eta = eta_star if spec.eta == "auto" else float(spec.eta)
     return ScheduleSpec(kind=spec.kind, eta=eta, K1=spec.K1, E=spec.E, steps="auto")
+
+
+def _identical_users(problem: Problem, n: int) -> bool:
+    """Whether users 0..n-1 hold bitwise-identical sample counts, inputs and targets."""
+    stacks = (problem.counts, problem.inputs.view(np.int64), problem.targets.view(np.int64))
+    return all((a[:n] == a[0]).all() for a in stacks)
 
 
 def prepare(config: ExperimentConfig) -> PreparedExperiment:
@@ -238,7 +246,7 @@ def prepare(config: ExperimentConfig) -> PreparedExperiment:
         M=M,
         B=B,
         w1_gap_sq=w1_gap_sq,
-        assumption_violating=config.oracle.kind == "minibatch",
+        assumption_violating=config.oracle.kind == "minibatch" or not _identical_users(problem, M - B),
     )
 
 

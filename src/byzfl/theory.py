@@ -1,33 +1,28 @@
 """Convergence-bound arithmetic for the robust multi-step protocol.
 
 Pure functions computing the per-step contraction factor, the corruption
-amplification constant, the geometric optimality-gap envelopes for uniform
-and general schedules, and the zero-gap conditions that decide whether the
-envelope decays. A round's rates are the honest clients' rows of the
-schedule's (M, K^t) rate array: an (M - B, K^t) array whose row m, column
-k - 1 is eta(t, m, k).
+amplification constant C_beta, the Theorem-1 envelope of uniform schedules
+and the Theorem-2 round multiplier. The server multiplies (L/2) * ||w1 -
+w*||^2 by the multipliers of rounds 1..t in order for the Theorem-2
+envelope, which decays to a zero gap while they stay below 1. A round's
+rates are the honest clients' rows of the schedule's (M, K^t) rate array:
+an (M - B, K^t) array whose row m, column k - 1 is eta(t, m, k).
 """
 
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "gamma",
-    "classify_gamma",
     "c_beta",
     "stable_eta_range",
     "min_K",
     "TheoryParams",
-    "BoundSeries",
     "theorem1_bound",
-    "theorem1_series",
     "theorem2_round_multiplier",
-    "theorem2_bound",
-    "zero_gap_condition",
 ]
 
 def gamma(eta, mu: float, L_const: float, delta: float = 0.0):
@@ -37,11 +32,6 @@ def gamma(eta, mu: float, L_const: float, delta: float = 0.0):
         raise ValueError(f"eta must be positive, got {low}")
     with np.errstate(over="ignore"):  # a diverging rate's factor is inf
         return 1.0 - 2.0 * eta * mu + eta * eta * L_const * L_const * (1.0 + delta * delta)
-
-
-def classify_gamma(gamma_val: float) -> str:
-    """Label a contraction factor: 'contractive' iff it lies in (0, 1)."""
-    return "contractive" if 0.0 < gamma_val < 1.0 else "non-contractive"
 
 
 def c_beta(beta: float) -> float:
@@ -102,10 +92,7 @@ class TheoryParams:
             raise ValueError(f"need 0 < mu <= L, got mu={self.mu}, L={self.L_const}")
         if self.delta < 0:
             raise ValueError(f"delta must be nonnegative, got {self.delta}")
-        if not 0 <= self.B < self.M:
-            raise ValueError(f"need 0 <= B < M, got B={self.B}, M={self.M}")
-        if 2 * self.B >= self.M:
-            raise ValueError(f"corrupted fraction must stay below 1/2: B={self.B}, M={self.M}")
+        c_beta(self.beta)  # raises unless 0 <= B < M/2
         if self.K < 1:
             raise ValueError(f"K must be >= 1, got {self.K}")
         if self.w1_gap_sq < 0:
@@ -125,28 +112,11 @@ class TheoryParams:
         return self.gamma**self.K * c_beta(self.beta) ** 2
 
 
-@dataclass(frozen=True)
-class BoundSeries:
-    """Envelope values per round, built by the exact recurrence b_{t+1} = factor * b_t."""
-
-    values: tuple[float, ...]
-    contraction_factor: float
-
-
 def theorem1_bound(t: int, params: TheoryParams) -> float:
     """Uniform-schedule envelope (L/2) * (gamma^K * C_beta^2)^t * ||w1 - w*||^2 at round t."""
     if t < 0:
         raise ValueError(f"round index must be nonnegative, got {t}")
     return 0.5 * params.L_const * params.contraction_factor**t * params.w1_gap_sq
-
-
-def theorem1_series(params: TheoryParams, T: int) -> BoundSeries:
-    """Envelope for rounds 0..T via the exact geometric recurrence."""
-    factor = params.contraction_factor
-    values = [0.5 * params.L_const * params.w1_gap_sq]
-    for _ in range(T):
-        values.append(values[-1] * factor)
-    return BoundSeries(values=tuple(values), contraction_factor=factor)
 
 
 def theorem2_round_multiplier(
@@ -176,26 +146,3 @@ def theorem2_round_multiplier(
     for column in factors.T:
         prods *= column
     return cb2 / (M - B) * float(np.cumsum(prods)[-1])
-
-
-def theorem2_bound(
-    t: int, rates: Callable[[int], np.ndarray], mu: float, L_const: float, delta: float, M: int, B: int,
-    L_for_prefactor: float, w1_gap_sq: float,
-) -> float:
-    """General-schedule envelope: (L/2) * ||w1 - w*||^2 * prod_{i<=t} round multiplier.
-
-    ``rates(i)`` is round i's (M - B, K^i) honest rate array.
-    """
-    if t < 0:
-        raise ValueError(f"round index must be nonnegative, got {t}")
-    prod = 1.0
-    for i in range(1, t + 1):
-        prod *= theorem2_round_multiplier(i, rates(i), mu, L_const, delta, M, B)
-    return 0.5 * L_for_prefactor * w1_gap_sq * prod
-
-
-def zero_gap_condition(
-    i: int, rates: np.ndarray, mu: float, L_const: float, delta: float, M: int, B: int
-) -> bool:
-    """True iff sum_m prod_k gamma_m^{i,k} < (M - B) / C_beta^2, i.e. round i's multiplier is < 1."""
-    return theorem2_round_multiplier(i, rates, mu, L_const, delta, M, B) < 1.0

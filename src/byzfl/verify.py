@@ -104,7 +104,7 @@ def ball_robustness_cases(n_cases: int = 10_000, seed: int = 2024) -> list[dict]
         cert_ok = True
         detail = ""
         if p == 2:
-            cert = theory.c_beta(q / n) if q else 2.0
+            cert = theory.c_beta(q / n)
             best = _grid_best_objective_2d(pts, center, 1.05 * cert * radius + 1e-6)
             cert_ok = result.objective <= best + 1e-7 * (1.0 + best)
             detail = f"objective {result.objective} vs grid best {best}"
@@ -387,9 +387,10 @@ def bounds_suite(seed: int = 2026, n_configs: int = 20) -> list[PropertyResult]:
         gap = float(rng.uniform(0.1, 5.0))
         params = theory.TheoryParams(eta=eta, mu=mu, L_const=L, delta=delta, M=M, B=B, K=K, w1_gap_sq=gap)
         rates = np.full((M - B, K), eta)
-        for t in (1, 7, 40, 100):
-            b1 = theory.theorem1_bound(t, params)
-            b2 = theory.theorem2_bound(t, lambda i: rates, mu, L, delta, M, B, L, gap)
+        prod = 1.0  # multiplied over rounds 1..t in order, as the server does
+        for t in range(1, 101):
+            prod *= theory.theorem2_round_multiplier(t, rates, mu, L, delta, M, B)
+            b1, b2 = theory.theorem1_bound(t, params), 0.5 * L * gap * prod
             if abs(b2 - b1) > 1e-12 * max(b1, 1e-300):
                 reduction_fails.append({"case": case, "t": t, "b1": b1, "b2": b2})
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from byzfl.aggregation import (
-    RobustnessCert,
     _majority_point,
     _row_norms,
     _subgradient_excess,
@@ -19,6 +18,7 @@ from byzfl.aggregation import (
     trimmed_mean,
 )
 from byzfl.config import AggregatorSpec
+from byzfl.theory import c_beta
 
 
 def grid_argmin_1d(points, lo, hi, step):
@@ -343,16 +343,24 @@ class TestBaselines:
 
 class TestRobustness:
     def test_cert_values(self):
-        cert = RobustnessCert(n=5, q=2)
-        assert cert.alpha == pytest.approx(0.4)
-        assert cert.c_alpha == pytest.approx(6.0)
-        assert RobustnessCert(n=3, q=0).c_alpha == pytest.approx(2.0)
+        # C_alpha = c_beta(q / n): 6 at q/n = 2/5 and 2 without corruption.
+        assert c_beta(2 / 5) == pytest.approx(6.0)
+        assert c_beta(0 / 3) == pytest.approx(2.0)
+        # The check accepts a value at exactly C_alpha * r and rejects one past it.
+        pts = [np.zeros(2)] * 3 + [np.array([1e3, 0.0])] * 2
+        for radius in (1.0, 0.25):
+            edge = np.array([c_beta(2 / 5) * radius, 0.0])
+            assert ball_robustness_check(pts, np.zeros(2), radius, q=2, value=edge)
+            assert not ball_robustness_check(pts, np.zeros(2), radius, q=2, value=np.nextafter(edge, 1e9))
 
     def test_cert_rejects_half_corruption(self):
-        with pytest.raises(ValueError):
-            RobustnessCert(n=5, q=3)
-        with pytest.raises(ValueError):
-            RobustnessCert(n=4, q=2)
+        for beta in (0.6, 0.5, -0.2):
+            with pytest.raises(ValueError, match="beta must lie"):
+                c_beta(beta)
+        for n, q in ((5, 3), (4, 2), (4, -1)):
+            pts = [np.zeros(2)] * n
+            with pytest.raises(ValueError, match="beta must lie"):
+                ball_robustness_check(pts, np.zeros(2), 1.0, q=q, value=np.zeros(2))
 
     def test_majority_coincidence_radius_zero(self):
         pts = [np.zeros(2), np.zeros(2), np.array([1e6, 1e6])]
@@ -400,7 +408,7 @@ class TestRobustness:
         res = geometric_median(pts)
         assert res.converged
         assert res.iterations <= 100
-        assert np.linalg.norm(res.value - center) <= RobustnessCert(n=50, q=10).c_alpha * r
+        assert np.linalg.norm(res.value - center) <= c_beta(10 / 50) * r
 
     def test_three_far_rows_leave_a_finite_median(self):
         # Rows at +-1.3e154 * e1 have finite squared norms, so the server

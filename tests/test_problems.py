@@ -402,6 +402,27 @@ class TestOptimum:
             w_star, _ = optimum(prob)
             assert np.linalg.norm(global_gradient(prob, w_star)) <= 1e-9
 
+    def test_ridge_optimum_is_the_one_solve(self, tmp_path):
+        # w* is the Problem's own solve, bitwise, and f* the loss there.
+        rng = np.random.default_rng(4)
+        for m, s in enumerate((9, 5)):
+            np.savetxt(tmp_path / f"u{m}.csv", rng.standard_normal((s, 4)), delimiter=",")
+        problems = [
+            make_synthetic(p=5, M=4, S_per_user=30, seed=3, heterogeneity=h, loss_kind=Ridge(lam))
+            for h, lam in ((0.0, 0.5), (0.3, 0.5), (1.0, 0.0))
+        ]
+        problems.append(problem_from_csv([tmp_path / "u0.csv", tmp_path / "u1.csv"], Ridge(lam=0.2)))
+        for prob in problems:
+            w_star, f_star = optimum(prob)
+            assert w_star.tobytes() == prob.center.tobytes()
+            assert f_star == global_loss(prob, prob.center)
+
+    def test_stalled_ridge_solve_names_the_residual(self, monkeypatch):
+        prob = make_synthetic(p=4, M=3, S_per_user=20, seed=8, heterogeneity=0.3)
+        monkeypatch.setattr(prob, "center", prob.center + 1e-6)
+        with pytest.raises(RuntimeError, match=r"stalled at residual \d\.\d{3}e-\d+ \(target"):
+            optimum(prob)
+
     def test_logistic_optimum_by_descent(self):
         prob = make_synthetic(p=3, M=2, S_per_user=60, seed=30, loss_kind=Logistic(lam=0.3))
         w_star, f_star = optimum(prob)

@@ -234,6 +234,26 @@ class TestRunExperiment:
         records = run_experiment(cfg)
         assert all(r.assumption_violating for r in records)
 
+    @pytest.mark.parametrize("heterogeneity, violating", [(0.0, False), (0.3, True)])
+    def test_heterogeneous_users_flagged(self, heterogeneity, violating):
+        problem = SyntheticProblemSpec(p=4, n_users=8, samples_per_user=30, heterogeneity=heterogeneity, loss="ridge")
+        records = run_experiment(small_config(problem=problem, rounds=2))
+        assert [r.assumption_violating for r in records] == [violating] * 2
+
+    @pytest.mark.parametrize("same, violating", [(True, False), (False, True)])
+    def test_csv_users_flagged_unless_identical(self, tmp_path, same, violating):
+        from byzfl.config import CsvProblemSpec
+
+        rng = np.random.default_rng(3)
+        tables = [rng.standard_normal((10, 4))]
+        tables.append(tables[0] if same else rng.standard_normal((10, 4)))
+        paths = [str(tmp_path / f"u{m}.csv") for m in range(2)]
+        for path, table in zip(paths, tables):
+            np.savetxt(path, table, delimiter=",")
+        cfg = small_config(problem=CsvProblemSpec(paths=tuple(paths)), n_byzantine=0, rounds=2)
+        records = run_experiment(cfg)
+        assert [r.assumption_violating for r in records] == [violating] * 2
+
     def test_logistic_reports_accuracy(self):
         cfg = small_config(
             problem=SyntheticProblemSpec(p=3, n_users=4, samples_per_user=60, heterogeneity=0.0, loss="logistic", reg=0.3),

@@ -34,11 +34,6 @@ class TestGamma:
         with pytest.raises(ValueError):
             theory.gamma(0.0, 1.0, 1.0)
 
-    def test_classification(self):
-        assert theory.classify_gamma(0.5) == "contractive"
-        assert theory.classify_gamma(1.0) == "non-contractive"
-        assert theory.classify_gamma(-0.2) == "non-contractive"
-
     def test_convex_in_eta_minimized_at_stationary_point(self):
         # Grid scan around the analytic minimizer mu / (L^2 (1 + delta^2)).
         mu, L, delta = 0.7, 1.9, 0.3
@@ -145,26 +140,20 @@ class TestTheorem1Bound:
     def test_geometric_decay_to_zero(self):
         p = self.params(eta=1.0, mu=1.0, L_const=1.2, K=8, M=10, B=2)
         assert p.contraction_factor < 1.0
-        series = theory.theorem1_series(p, 200)
-        assert all(b2 < b1 or b1 == 0.0 for b1, b2 in zip(series.values, series.values[1:]))
-        assert series.values[-1] < 1e-12 * series.values[0]
-
-    def test_series_recurrence_exact(self):
-        p = self.params(eta=0.8, mu=0.9, L_const=1.1, K=5, M=20, B=4)
-        series = theory.theorem1_series(p, 50)
-        for b1, b2 in zip(series.values, series.values[1:]):
-            assert b2 == b1 * series.contraction_factor  # exact by construction
+        values = [theory.theorem1_bound(t, p) for t in range(201)]
+        assert all(b2 < b1 or b1 == 0.0 for b1, b2 in zip(values, values[1:]))
+        assert values[-1] < 1e-12 * values[0]
 
     def test_monotone_decreasing_iff_contractive(self):
         mu = math.sqrt(2.0)
         contractive = self.params(eta=mu / 4.0, L_const=2.0, mu=mu, K=3, B=0, M=10)
         assert contractive.contraction_factor < 1.0
-        series = theory.theorem1_series(contractive, 30)
-        assert all(b2 < b1 for b1, b2 in zip(series.values, series.values[1:]))
+        values = [theory.theorem1_bound(t, contractive) for t in range(31)]
+        assert all(b2 < b1 for b1, b2 in zip(values, values[1:]))
         expanding = self.params(eta=mu / 4.0, L_const=2.0, mu=mu, K=1, B=3, M=10)
         assert expanding.contraction_factor > 1.0
-        series = theory.theorem1_series(expanding, 30)
-        assert all(b2 > b1 for b1, b2 in zip(series.values, series.values[1:]))
+        values = [theory.theorem1_bound(t, expanding) for t in range(31)]
+        assert all(b2 > b1 for b1, b2 in zip(values, values[1:]))
 
     def test_min_K_is_first_monotone_K(self):
         rng = np.random.default_rng(11)
@@ -198,10 +187,19 @@ def loop_multiplier(rates, mu, L, delta, M, B):
     return theory.c_beta(B / M) ** 2 / (M - B) * total, negative
 
 
+def theorem2_envelope(t, rates, mu, L, delta, M, B, gap):
+    """(L/2) * gap times the round multipliers of rounds 1..t, multiplied in round order as the server does."""
+    prod = 1.0
+    for i in range(1, t + 1):
+        prod *= theory.theorem2_round_multiplier(i, rates, mu, L, delta, M, B)
+    return 0.5 * L * gap * prod
+
+
 class TestTheorem2:
     def test_round_zero(self):
-        val = theory.theorem2_bound(0, lambda i: uniform_rates(0.1, 3, 2), 1.0, 2.0, 0.0, 3, 1, 2.0, 5.0)
-        assert val == pytest.approx(5.0)
+        # No round has run: the empty product leaves the prefactor (L/2) * ||w1 - w*||^2.
+        val = theorem2_envelope(0, uniform_rates(0.1, 3, 2), 1.0, 2.0, 0.0, 3, 1, 5.0)
+        assert val == 5.0
 
     def test_hand_case_round_multiplier(self):
         # Two honest clients (M=2, B=0): C_beta^2/(M-B) = 4/2 = 2. With
@@ -230,7 +228,7 @@ class TestTheorem2:
             rates = uniform_rates(eta, K, M - B)
             for t in (0, 1, 2, 5, 17, 100):
                 b1 = theory.theorem1_bound(t, p)
-                b2 = theory.theorem2_bound(t, lambda i: rates, mu, L, delta, M, B, L, gap)
+                b2 = theorem2_envelope(t, rates, mu, L, delta, M, B, gap)
                 assert b2 == pytest.approx(b1, rel=1e-12)
 
     def test_nonpositive_factor_flagged_but_evaluated(self):
@@ -274,6 +272,8 @@ class TestTheorem2:
 
 
 class TestZeroGapCondition:
+    """The envelope decays to a zero gap iff the round multiplier is < 1, i.e. sum_m prod_k gamma < (M - B) / C_beta^2."""
+
     def test_uniform_equivalence_with_contraction(self):
         mu, L, delta = 1.0, 2.0, 0.0
         M, B = 10, 2
@@ -281,17 +281,15 @@ class TestZeroGapCondition:
         eta = 0.5 * eta_max
         g = theory.gamma(eta, mu, L, delta)
         for K in range(1, 40):
-            cond = theory.zero_gap_condition(1, uniform_rates(eta, K, M - B), mu, L, delta, M, B)
+            cond = theory.theorem2_round_multiplier(1, uniform_rates(eta, K, M - B), mu, L, delta, M, B) < 1.0
             assert cond == (g**K * theory.c_beta(B / M) ** 2 < 1.0)
 
     def test_hand_case_honest_sum(self):
         # M=10, B=2: threshold (M-B)/C_beta^2 = 8 / (8/3)^2 = 1.125.
         # All-one factors (K=0 steps) give sum = 8 -> False.
         M, B = 10, 2
-        cond = theory.zero_gap_condition(1, uniform_rates(0.1, 0, 8), 1.0, 1.0, 0.0, M, B)
-        assert cond is False
+        assert not theory.theorem2_round_multiplier(1, uniform_rates(0.1, 0, 8), 1.0, 1.0, 0.0, M, B) < 1.0
         # Single-step factors 0.125 each give sum 1.0 < 1.125 -> True.
         # gamma(eta) = (1-eta)^2 = 0.125 -> eta = 1 - sqrt(0.125)
         eta = 1 - math.sqrt(0.125)
-        cond = theory.zero_gap_condition(1, uniform_rates(eta, 1, 8), 1.0, 1.0, 0.0, M, B)
-        assert cond is True
+        assert theory.theorem2_round_multiplier(1, uniform_rates(eta, 1, 8), 1.0, 1.0, 0.0, M, B) < 1.0
