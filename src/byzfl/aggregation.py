@@ -137,11 +137,13 @@ def geometric_median(points, spec: AggregatorSpec | None = None) -> AggregateRes
     which they drag away, is the start only when c coincides with a point,
     where the floored weight of that point would hold the iterate on a
     vertex that need not be optimal. Per-point distances are floored at
-    ``smoothing * spread`` (spread = largest distance from the start to a
-    point). Stops when both the iterate displacement and the smoothed
-    subgradient norm (``residual``) drop to ``tol``, or at ``max_iters``
-    with ``converged=False``. ``tol``, ``smoothing`` and ``max_iters`` come
-    from ``spec`` (default ``AggregatorSpec()``); its kind is not read.
+    ``tol``, an absolute scale that no point can move: a floor relative to
+    the farthest point lets one far upload flatten the weights of the whole
+    honest cluster and drag the median out of its ball. Stops when both the
+    iterate displacement and the smoothed subgradient norm (``residual``)
+    drop to ``tol``, or at ``max_iters`` with ``converged=False``. ``tol``
+    and ``max_iters`` come from ``spec`` (default ``AggregatorSpec()``); its
+    kind is not read.
     """
     pts = _as_matrix(points)
     spec = spec if spec is not None else AggregatorSpec()
@@ -168,7 +170,6 @@ def _weiszfeld(original: np.ndarray, center: np.ndarray, x: np.ndarray, spec: Ag
     """``geometric_median``'s iteration on the rows ``original - center``, from x in that frame."""
     pts = original - center
     dists = _row_norms(x - pts)
-    floor = max(spec.smoothing * float(dists.max()), _TINY)
 
     iterations = 0
     converged = False
@@ -195,18 +196,18 @@ def _weiszfeld(original: np.ndarray, center: np.ndarray, x: np.ndarray, spec: Ag
                     residual=0.0,
                 )
             rejected_vertices.add(j)
-        weights = 1.0 / np.maximum(dists, floor)
+        weights = 1.0 / np.maximum(dists, spec.tol)
         x_next = weights @ pts / weights.sum()
         step = x_next - x
         displacement = math.sqrt(step.dot(step))
         x = x_next
         diffs = x - pts
         dists = _row_norms(diffs)
-        if displacement <= spec.tol and (excess := _subgradient_excess(diffs, dists, floor)) <= spec.tol:
+        if displacement <= spec.tol and (excess := _subgradient_excess(diffs, dists, spec.tol)) <= spec.tol:
             converged = True
             break
     else:
-        excess = _subgradient_excess(diffs, dists, floor)
+        excess = _subgradient_excess(diffs, dists, spec.tol)
 
     return AggregateResult(
         value=x + center,

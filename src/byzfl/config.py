@@ -182,18 +182,16 @@ class AggregatorSpec:
     """How the server combines the uploads.
 
     geomed reads the Weiszfeld knobs: tol bounds both the iterate
-    displacement and the smoothed-subgradient norm at exit; smoothing is a
-    floor on per-point distances, relative to the spread of the inputs (the
-    largest distance from the start, the coordinate-wise order statistic,
-    or the mean when that statistic is an input), that keeps the
-    inverse-distance weights finite when the iterate lands on a data point.
-    trimmed_mean reads trim_fraction, the share dropped from each tail.
+    displacement and the smoothed-subgradient norm at exit, and is also the
+    absolute floor on per-point distances that keeps the inverse-distance
+    weights finite when the iterate lands on a data point; no upload can
+    move it. trimmed_mean reads trim_fraction, the share dropped from each
+    tail.
     """
 
     kind: str = "geomed"
     tol: float = 1e-10
     max_iters: int = 1000
-    smoothing: float = 1e-10
     trim_fraction: float = 0.1
 
     def __post_init__(self) -> None:
@@ -201,19 +199,17 @@ class AggregatorSpec:
             raise ConfigError(
                 f"aggregator.kind must be geomed|mean|coordinate_median|trimmed_mean, got {self.kind!r}"
             )
-        _check_types(self, "aggregator.", tol=float, max_iters=int, smoothing=float, trim_fraction=float)
+        _check_types(self, "aggregator.", tol=float, max_iters=int, trim_fraction=float)
         if self.tol <= 0:
             raise ConfigError(f"aggregator.tol must be positive, got {self.tol}")
         if self.max_iters < 1:
             raise ConfigError(f"aggregator.max_iters must be >= 1, got {self.max_iters}")
-        if self.smoothing < 0:
-            raise ConfigError(f"aggregator.smoothing must be nonnegative, got {self.smoothing}")
         if not 0.0 <= self.trim_fraction < 0.5:
             raise ConfigError(f"aggregator.trim_fraction must lie in [0, 0.5), got {self.trim_fraction}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "AggregatorSpec":
-        _require_keys(d, "aggregator", set(), {"kind", "tol", "max_iters", "smoothing", "trim_fraction"})
+        _require_keys(d, "aggregator", set(), {"kind", "tol", "max_iters", "trim_fraction"})
         return cls(**d)
 
 

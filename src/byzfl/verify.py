@@ -186,10 +186,12 @@ def _majority_exactness_cases(n_cases: int = 300, seed: int = 79) -> list[dict]:
 def _descent_cases(n_cases: int = 200, seed: int = 80) -> list[dict]:
     """Smoothed Weiszfeld steps never raise the objective, from the mean or from the coordinate-wise order statistic.
 
-    The order statistic is skipped when it is one of the points: its own
+    Distances are floored at the shipped floor, the default ``tol``. The
+    order statistic is skipped when it is one of the points: its own
     floored distance breaks the descent argument there, which is why
     ``geometric_median`` starts from the mean in that case.
     """
+    floor = AggregatorSpec().tol
     rng = np.random.default_rng(seed)
     failures = []
     for case in range(n_cases):
@@ -201,7 +203,6 @@ def _descent_cases(n_cases: int = 200, seed: int = 80) -> list[dict]:
         if not (pts == center).all(axis=1).any():
             starts["order-statistic"] = center
         for start, x in starts.items():
-            floor = 1e-10 * float(np.linalg.norm(pts - x, axis=1).max())
             prev = geomed_objective(pts, x)
             for it in range(150):
                 d = np.maximum(np.linalg.norm(pts - x, axis=1), floor)
@@ -220,33 +221,53 @@ def _start_cases(n_cases: int = 400, seed: int = 81) -> list[dict]:
 
     Lattice points often put the coordinate-wise order statistic, the
     shipped start, on a point or on a vertex of another point's cell, where
-    a floored weight can hold the iterate. For smoothing 0 and 1e-10, each
+    a floored weight can hold the iterate. Under the default spec, each
     case's objective must be at most 1e-6 relative above that of the
     iteration started at the mean (a lower one means the mean start
     stalled), and the shipped start may leave no more cases unconverged.
     """
     rng = np.random.default_rng(seed)
-    sets = []
-    for _ in range(n_cases):
-        n, p, k = int(rng.integers(2, 12)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        sets.append(rng.integers(-k, k + 1, size=(n, p)).astype(np.float64))
+    spec = AggregatorSpec()
     failures = []
-    for smoothing in (0.0, 1e-10):
-        spec = AggregatorSpec(smoothing=smoothing)
-        unconverged = [0, 0]
-        for case, pts in enumerate(sets):
-            got = geometric_median(pts, spec)
-            mid = pts.shape[0] // 2
-            center = np.partition(pts, mid, axis=0)[mid]
-            ref = _weiszfeld(pts, center, (pts - center).mean(axis=0), spec)
-            unconverged[0] += not got.converged
-            unconverged[1] += not ref.converged
-            if got.objective > ref.objective * (1 + 1e-6):
-                failures.append(
-                    {"case": case, "smoothing": smoothing, "objective": got.objective, "mean_start": ref.objective}
-                )
-        if unconverged[0] > unconverged[1]:
-            failures.append({"smoothing": smoothing, "unconverged": unconverged[0], "mean_start": unconverged[1]})
+    unconverged = [0, 0]
+    for case in range(n_cases):
+        n, p, k = int(rng.integers(2, 12)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        pts = rng.integers(-k, k + 1, size=(n, p)).astype(np.float64)
+        got = geometric_median(pts, spec)
+        center = np.partition(pts, n // 2, axis=0)[n // 2]
+        ref = _weiszfeld(pts, center, (pts - center).mean(axis=0), spec)
+        unconverged[0] += not got.converged
+        unconverged[1] += not ref.converged
+        if got.objective > ref.objective * (1 + 1e-6):
+            failures.append({"case": case, "objective": got.objective, "mean_start": ref.objective})
+    if unconverged[0] > unconverged[1]:
+        failures.append({"unconverged": unconverged[0], "mean_start": unconverged[1]})
+    return failures
+
+
+def _far_row_cases(seed: int = 82) -> list[dict]:
+    """The worst case for a distance floor: corrupted rows as far out as a finite squared norm allows.
+
+    17 honest rows lie within 1e-3 of (1, 1, 1); two copies of 1.3e154 * e1
+    join them, and then a third row at -1.3e154 * e1. Both medians must
+    converge and lie within ``c_beta(q / n) * r`` of the honest mean, r the
+    honest rows' largest distance from it. A floor that scales with the
+    farthest row flattens the honest weights here and lands ~1e143 away.
+    """
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((17, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    honest = 1.0 + 1e-3 * rng.random((17, 1)) ** (1 / 3) * dirs
+    center = honest.mean(axis=0)
+    radius = float(np.linalg.norm(honest - center, axis=1).max())
+    far = 1.3e154 * np.eye(3)[:1]
+    failures = []
+    for corrupted in (np.vstack([far, far]), np.vstack([far, far, -far])):
+        pts = np.vstack([honest, corrupted])
+        res = geometric_median(pts)
+        if not (res.converged and ball_robustness_check(pts, center, radius, len(corrupted), res.value)):
+            distance = float(np.linalg.norm(res.value - center))
+            failures.append({"far_rows": len(corrupted), "converged": res.converged, "distance": distance})
     return failures
 
 
@@ -258,6 +279,7 @@ def geomed_suite(seed: int = 2024, n_ball: int = 10_000) -> list[PropertyResult]
         PropertyResult("majority-coincidence-exactness", 300, _majority_exactness_cases(300, seed + 3)),
         PropertyResult("weiszfeld-monotone-descent", 200, _descent_cases(200, seed + 4)),
         PropertyResult("weiszfeld-start-lattice", 400, _start_cases(400, seed + 5)),
+        PropertyResult("far-rows-stay-in-ball", 2, _far_row_cases(seed + 6)),
     ]
 
 
@@ -334,6 +356,29 @@ def assumptions_suite(seed: int = 2025, n_pairs: int = 1000, n_noise: int = 100_
     ]
 
 
+def _far_attack_cases() -> list[dict]:
+    """Theorem 2's envelope under Gaussian attacks far outside the honest uploads.
+
+    The default ridge problem on the general schedule with the full oracle:
+    honest uploads differ, so every round runs Weiszfeld iterations, and
+    the envelope is a hard bound. Every round's gap must lie under it plus
+    1e-9 absolute for rounding.
+    """
+    failures = []
+    for sigma in (1e4, 1e8, 1e12, 1e150):
+        cfg = ExperimentConfig(
+            attack=AttackSpec(kind="gaussian", sigma=sigma),
+            schedule=ScheduleSpec(kind="general"),
+            oracle=OracleSpec(kind="full"),
+            rounds=100,
+            seed=3,
+        )
+        for rec in run_prepared(prepare(cfg)):
+            if rec.optimality_gap > rec.theorem2_bound + 1e-9:
+                failures.append({"sigma": sigma, "t": rec.t, "gap": rec.optimality_gap, "bound": rec.theorem2_bound})
+    return failures
+
+
 def bounds_suite(seed: int = 2026, n_configs: int = 20) -> list[PropertyResult]:
     """Measured optimality gaps stay under the envelope on random contractive setups."""
     rng = np.random.default_rng(seed)
@@ -396,6 +441,7 @@ def bounds_suite(seed: int = 2026, n_configs: int = 20) -> list[PropertyResult]:
 
     return [
         PropertyResult("theorem1-envelope-random-configs", n_configs, envelope_fails),
+        PropertyResult("theorem2-envelope-far-attacks", 4, _far_attack_cases()),
         PropertyResult("min-K-exhaustive", 1000, mink_fails),
         PropertyResult("theorem2-uniform-reduction", 50, reduction_fails),
     ]

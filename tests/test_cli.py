@@ -71,7 +71,6 @@ class TestRun:
             ({"attack": {"kind": "fixed", "vector": [1.0, math.inf, 0.0]}}, "attack.vector"),
             ({"aggregator": {"kind": "geomed", "tol": 0.0}}, "aggregator.tol"),
             ({"aggregator": {"kind": "geomed", "max_iters": 0}}, "aggregator.max_iters"),
-            ({"aggregator": {"kind": "geomed", "smoothing": -1.0}}, "aggregator.smoothing"),
             ({"aggregator": {"kind": "trimmed_mean", "trim_fraction": 0.6}}, "aggregator.trim_fraction"),
             ({"oracle": {"kind": "minibatch", "batch_size": 21}}, "oracle.batch_size"),
             ({"problem": {"loss": "logistic", "reg": 0.0}}, "problem.reg"),
@@ -87,7 +86,6 @@ class TestRun:
             "vector",
             "tol",
             "max_iters",
-            "smoothing",
             "trim_fraction",
             "batch_size",
             "logistic-reg-0",
@@ -126,6 +124,13 @@ class TestRun:
     def test_unknown_key_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"roundz": 5})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def test_retired_smoothing_key_exit_2(self, tmp_path, capsys):
+        # The distance floor is aggregator.tol; a config from before keeps
+        # its old default smoothing value and is refused by name.
+        cfg = write_config(tmp_path, tiny_config(aggregator={"kind": "geomed", "smoothing": 1e-10}))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "unknown keys ['smoothing']" in capsys.readouterr().err
 
     def test_same_seed_byte_identical_traces(self, tmp_path):
         cfg = write_config(tmp_path, tiny_config())
@@ -291,10 +296,13 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "[PASS] ball-robustness" in out
         assert "[PASS] 1d-median-reduction" in out
+        assert "[PASS] far-rows-stay-in-ball" in out
 
     def test_bounds_suite(self, capsys):
         assert main(["verify", "--suite", "bounds"]) == 0
-        assert "[PASS] theorem1-envelope-random-configs" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "[PASS] theorem1-envelope-random-configs" in out
+        assert "[PASS] theorem2-envelope-far-attacks" in out
 
     def test_assumptions_suite(self, capsys):
         assert main(["verify", "--suite", "assumptions"]) == 0

@@ -73,16 +73,15 @@ class TestParsing:
         for bad in (
             dict(tol=0.0),
             dict(max_iters=0),
-            dict(smoothing=-1.0),
             dict(trim_fraction=0.5),
             dict(trim_fraction=-0.1),
         ):
             with pytest.raises(ConfigError):
                 AggregatorSpec(**bad)
-        assert AggregatorSpec(kind="trimmed_mean", trim_fraction=0.0, smoothing=0.0, max_iters=1).max_iters == 1
-        # geometric_median's stopping and smoothing defaults.
+        assert AggregatorSpec(kind="trimmed_mean", trim_fraction=0.0, max_iters=1).max_iters == 1
+        # geometric_median's stopping defaults; tol is also its distance floor.
         spec = AggregatorSpec()
-        assert (spec.tol, spec.max_iters, spec.smoothing) == (1e-10, 1000, 1e-10)
+        assert (spec.tol, spec.max_iters) == (1e-10, 1000)
 
     def test_schedule_validation(self):
         with pytest.raises(ConfigError):
