@@ -1,19 +1,20 @@
 """Client-side behavior: multi-step local SGD and Byzantine message generation.
 
-Honest clients run K^t SGD steps from the broadcast iterate with per-step
-rates eta(t, m, k), all of them together: step k is one batched gradient
-evaluation over the honest clients, at rates the caller passes as one
-array. The round's random draws come from one stream keyed by the round,
+Honest clients run K^t SGD steps from the broadcast iterate, client m at
+its own rate eta_m, all of them together: step k is one batched gradient
+evaluation over the honest clients, at the rates the caller passes as one
+vector. The round's random draws come from one stream keyed by the round,
 of which step k reads the k-th block, and each block holds a fixed row
 per client id, so a client's upload does not depend on which other
-clients share the batch or on their order. On ridge with the
-full oracle, the K^t steps of a client with one rate for the round are one
-affine map, applied in closed form from the problem's eigendecompositions.
+clients share the batch or on their order. On ridge with the full
+oracle, a client's K^t steps are one affine map, applied in closed form
+from the problem's eigendecompositions.
 Byzantine clients ignore schedules and data entirely and emit the vector
 their ``AttackSpec`` describes.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,11 +27,11 @@ __all__ = ["Schedule", "honest_local_update", "byzantine_message"]
 
 @dataclass(frozen=True)
 class Schedule:
-    """Local-step counts K^t and rates eta(t, m, k) of M clients, read from a spec with no 'auto' left.
+    """Local-step counts K^t and rates eta_m of M clients, read from a spec with no 'auto' left.
 
-    ``steps(t)`` is K^t (0 allowed for degenerate runs); ``rates(t)`` is the
-    (M, K^t) array whose row m, column k - 1 is eta(t, m, k): the general
-    kind's ``client_etas`` row by row, the other kinds' one ``eta``.
+    ``steps(t)`` is K^t (0 allowed for degenerate runs); ``rates`` is the
+    read-only (M,) vector of every round's and step's rates: the general
+    kind's ``client_etas``, the other kinds' one ``eta``.
     """
 
     spec: ScheduleSpec
@@ -46,10 +47,10 @@ class Schedule:
             return max(0, s.K1 * (1 - t // s.E))
         return max(1, round(s.K1 * (1.0 - t / s.E)))
 
-    def rates(self, t: int) -> np.ndarray:
+    @cached_property
+    def rates(self) -> np.ndarray:
         etas = self.spec.client_etas if self.spec.kind == "general" else self.spec.eta
-        col = np.reshape(np.asarray(etas, dtype=np.float64), (-1, 1))
-        return np.broadcast_to(col, (self.M, self.steps(t)))
+        return np.broadcast_to(np.asarray(etas, dtype=np.float64), (self.M,))
 
 
 def honest_local_update(
@@ -58,52 +59,48 @@ def honest_local_update(
     w_t: np.ndarray,
     t: int,
     eta: np.ndarray,
+    K: int,
     oracle: OracleSpec,
     master_seed: int,
 ) -> np.ndarray:
-    """Run K^t local SGD steps from w_t for clients ``ids``; row i is client ids[i]'s upload.
+    """Run K local SGD steps from w_t for clients ``ids``; row i is client ids[i]'s upload.
 
-    ``eta`` is the round's (len(ids), K^t) rate array: row i, column k - 1
-    is eta(t, ids[i], k), so K^t is its column count. Step k uses one
-    batched gradient whose draws are the k-th (M, .) block of the stream
-    keyed (master_seed, 'grad', t), so each row is independent of the
-    batch's membership and order. K^t = 0 returns copies of w_t. A range of
-    ids is passed on as a range, which ``local_stoch_grad`` indexes by
-    views.
+    ``eta`` is the (len(ids),) rate vector, client ids[i] stepping at
+    eta[i], and K is the round's K^t. Step k uses one batched gradient
+    whose draws are the k-th (M, .) block of the stream keyed
+    (master_seed, 'grad', t), so each row is independent of the batch's
+    membership and order. K = 0 returns copies of w_t. A range of ids is
+    passed on as a range, which ``local_stoch_grad`` indexes by views.
 
-    Full-oracle ridge rows whose rate is the same at every step and whose
-    user Hessian is positive definite take the exact K^t-step map
-    (``RidgeSpectrum.full_steps``) instead of the loop; it equals the loop
-    up to rounding, and still each row alone.
+    Full-oracle ridge rows whose user Hessian is positive definite take the
+    exact K-step map (``RidgeSpectrum.full_steps``) instead of the loop; it
+    equals the loop up to rounding, and still each row alone.
     """
     ids = ids if isinstance(ids, range) else np.asarray(ids, dtype=np.intp)
     n = len(ids) if isinstance(ids, range) else ids.size
-    if eta.ndim != 2 or eta.shape[0] != n:
-        raise ValueError(f"eta has shape {eta.shape}, need one row per client of {n}")
+    if eta.shape != (n,):
+        raise ValueError(f"eta has shape {eta.shape}, need one rate per client of {n}")
     if (eta <= 0).any():
-        k, i = np.argwhere(eta.T <= 0)[0]
-        raise ValueError(f"rate({t}, {ids[i]}, {k + 1}) must be positive, got {eta[i, k]}")
+        i = np.flatnonzero(eta <= 0)[0]
+        raise ValueError(f"client {ids[i]}'s rate must be positive, got {eta[i]}")
     w_t = np.asarray(w_t, dtype=np.float64)
-    K = eta.shape[1]
     spectrum = problem.spectrum if oracle.kind == "full" and K else None
     if spectrum is None:
-        return _local_sgd(problem, ids, w_t, t, eta, oracle, master_seed)
+        return _local_sgd(problem, ids, w_t, t, eta, K, oracle, master_seed)
     rows = _user_rows(problem, ids)
-    Z = spectrum.full_steps(rows, w_t, eta[:, 0], K)
-    # A broadcast rate column is constant along its row by construction.
-    varying = (eta != eta[:, :1]).any(axis=1) if eta.strides[1] else False
-    loop = np.flatnonzero(~spectrum.definite[rows] | varying)
+    Z = spectrum.full_steps(rows, w_t, eta, K)
+    loop = np.flatnonzero(~spectrum.definite[rows])
     if loop.size:
-        Z[loop] = _local_sgd(problem, np.asarray(ids)[loop], w_t, t, eta[loop], oracle, master_seed)
+        Z[loop] = _local_sgd(problem, np.asarray(ids)[loop], w_t, t, eta[loop], K, oracle, master_seed)
     return Z
 
 
-def _local_sgd(problem, ids, w_t, t, eta, oracle, master_seed) -> np.ndarray:
-    """The K^t-step loop of ``honest_local_update``: one batched gradient step per k."""
-    W = np.tile(w_t, (eta.shape[0], 1))
+def _local_sgd(problem, ids, w_t, t, eta, K, oracle, master_seed) -> np.ndarray:
+    """The K-step loop of ``honest_local_update``: one batched gradient step per k."""
+    W = np.tile(w_t, (eta.size, 1))
     rng = substream(master_seed, "grad", t) if oracle.kind != "full" else None
-    for k in range(eta.shape[1]):
-        W -= eta[:, k, None] * local_stoch_grad(problem, ids, W, oracle, rng)
+    for _ in range(K):
+        W -= eta[:, None] * local_stoch_grad(problem, ids, W, oracle, rng)
     return W
 
 

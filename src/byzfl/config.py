@@ -200,8 +200,9 @@ class AggregatorSpec:
                 f"aggregator.kind must be geomed|mean|coordinate_median|trimmed_mean, got {self.kind!r}"
             )
         _check_types(self, "aggregator.", tol=float, max_iters=int, trim_fraction=float)
-        if self.tol <= 0:
-            raise ConfigError(f"aggregator.tol must be positive, got {self.tol}")
+        # Weiszfeld weights reach 1/tol; times a kept upload's entries (< 2.7e154 apart) < 3e304.
+        if self.tol < 1e-150:
+            raise ConfigError(f"aggregator.tol must be >= 1e-150, got {self.tol}")
         if self.max_iters < 1:
             raise ConfigError(f"aggregator.max_iters must be >= 1, got {self.max_iters}")
         if not 0.0 <= self.trim_fraction < 0.5:

@@ -8,9 +8,9 @@ one TraceRecord per round, carrying the measured optimality gap next to the
 theory envelopes so runs can be checked against the guarantees.
 
 Clients 0..M-B-1 are honest and M-B..M-1 Byzantine; row m of a round's
-upload matrix is client m's upload. A round reads its honest rate array
-from the schedule once and hands it to both the honest clients, which run
-their local SGD as one batched update, and the Theorem-2 multiplier.
+upload matrix is client m's upload. A round hands the honest clients' rates
+(one each, fixed for the run) and K^t to the honest clients, which run their
+local SGD as one batched update, and to the Theorem-2 multiplier.
 Byzantine uploads take their noise from one block per round, keyed by
 (round), with a fixed row per client id.
 """
@@ -214,7 +214,7 @@ def prepare(config: ExperimentConfig) -> PreparedExperiment:
     theory1 = multiplier = None
     if spec.kind == "uniform" and spec.steps >= 1 and 2 * B < M:
         multiplier = theory.theorem2_round_multiplier(
-            1, schedule.rates(1)[: M - B], consts.mu, consts.L_const, consts.delta, M, B
+            1, schedule.rates[: M - B], spec.steps, consts.mu, consts.L_const, consts.delta, M, B
         )
         theory1 = theory.TheoryParams(
             eta=spec.eta,
@@ -261,9 +261,9 @@ def run_round(
     """
     start = time.perf_counter()
     H = len(prep.honest_ids)
-    rates = prep.schedule.rates(t)[:H]
+    rates, K = prep.schedule.rates[:H], prep.schedule.steps(t)
     Z = np.empty((prep.M, w_t.shape[0]))
-    Z[:H] = honest_local_update(prep.problem, prep.honest_ids, w_t, t, rates, prep.oracle, prep.master_seed)
+    Z[:H] = honest_local_update(prep.problem, prep.honest_ids, w_t, t, rates, K, prep.oracle, prep.master_seed)
     if H < prep.M:
         gaussian = prep.attack.kind == "gaussian"
         noise = substream(prep.master_seed, "attack", t).standard_normal(Z.shape)[H:] if gaussian else None
@@ -288,9 +288,7 @@ def run_round(
         multiplier = prep.theorem2_multiplier
         if multiplier is None:
             c = prep.consts
-            multiplier = theory.theorem2_round_multiplier(
-                t, rates, c.mu, c.L_const, c.delta, prep.M, prep.B
-            )
+            multiplier = theory.theorem2_round_multiplier(t, rates, K, c.mu, c.L_const, c.delta, prep.M, prep.B)
         theorem2_cum *= multiplier
         bound2 = 0.5 * prep.consts.L_const * prep.w1_gap_sq * theorem2_cum
     bound1 = theory.theorem1_bound(t, prep.theory1) if prep.theory1 is not None else None

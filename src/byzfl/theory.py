@@ -5,8 +5,8 @@ amplification constant C_beta, the Theorem-1 envelope of uniform schedules
 and the Theorem-2 round multiplier. The server multiplies (L/2) * ||w1 -
 w*||^2 by the multipliers of rounds 1..t in order for the Theorem-2
 envelope, which decays to a zero gap while they stay below 1. A round's
-rates are the honest clients' rows of the schedule's (M, K^t) rate array:
-an (M - B, K^t) array whose row m, column k - 1 is eta(t, m, k).
+rates are the honest clients' entries of the schedule's (M,) rate vector,
+with client m stepping at eta_m for all K^t of the round's local steps.
 """
 
 import math
@@ -120,29 +120,31 @@ def theorem1_bound(t: int, params: TheoryParams) -> float:
 
 
 def theorem2_round_multiplier(
-    i: int, rates: np.ndarray, mu: float, L_const: float, delta: float, M: int, B: int
+    i: int, rates: np.ndarray, K: int, mu: float, L_const: float, delta: float, M: int, B: int
 ) -> float:
-    """Round-i envelope factor (C_beta^2 / (M - B)) * sum over honest m of prod_k gamma(eta(i,m,k)).
+    """Round-i envelope factor (C_beta^2 / (M - B)) * sum over honest m of gamma(eta_m)^K.
 
-    ``rates`` is round i's (M - B, K^i) honest rate array. The products run
-    over k in order from 1.0 and the sum over m in order, as scalar loops
-    would. A per-step factor computed as <= 0 is reported via a warning; the
-    multiplier is still evaluated, since the recurrence it feeds presumes
-    nonnegative factors only for interpretability, not for evaluation.
+    ``rates`` is the (M - B,) honest rate vector and K is K^i. Each power is
+    K multiplications in order from 1.0 and the sum over m runs in order, as
+    scalar loops would; a vectorised ``**`` would round differently, and
+    differently on different CPUs. A factor computed as <= 0 that enters the
+    product (K >= 1) is reported via a warning; the multiplier is still
+    evaluated, since the recurrence it feeds presumes nonnegative factors
+    only for interpretability, not for evaluation.
     """
-    if rates.shape[0] != M - B:
-        raise ValueError(f"expected {M - B} honest rate rows, got {rates.shape[0]}")
+    if rates.shape != (M - B,):
+        raise ValueError(f"expected {M - B} honest rates, got shape {rates.shape}")
     cb2 = c_beta(B / M) ** 2
     factors = gamma(rates, mu, L_const, delta)
-    negative = [(m, k + 1) for m, k in np.argwhere(factors <= 0.0).tolist()]
+    negative = np.flatnonzero(factors <= 0.0).tolist() if K else []
     if negative:
         warnings.warn(
-            f"round {i}: nonpositive per-step factor at (client, step) {negative[:3]}"
+            f"round {i}: nonpositive per-step factor for clients {negative[:3]}"
             f"{'...' if len(negative) > 3 else ''}; envelope evaluated anyway",
             RuntimeWarning,
             stacklevel=2,
         )
     prods = np.ones(M - B)
-    for column in factors.T:
-        prods *= column
+    for _ in range(K):
+        prods *= factors
     return cb2 / (M - B) * float(np.cumsum(prods)[-1])

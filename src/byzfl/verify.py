@@ -431,10 +431,10 @@ def bounds_suite(seed: int = 2026, n_configs: int = 20) -> list[PropertyResult]:
         K = int(rng.integers(1, 10))
         gap = float(rng.uniform(0.1, 5.0))
         params = theory.TheoryParams(eta=eta, mu=mu, L_const=L, delta=delta, M=M, B=B, K=K, w1_gap_sq=gap)
-        rates = np.full((M - B, K), eta)
+        rates = np.full(M - B, eta)
         prod = 1.0  # multiplied over rounds 1..t in order, as the server does
         for t in range(1, 101):
-            prod *= theory.theorem2_round_multiplier(t, rates, mu, L, delta, M, B)
+            prod *= theory.theorem2_round_multiplier(t, rates, K, mu, L, delta, M, B)
             b1, b2 = theory.theorem1_bound(t, params), 0.5 * L * gap * prod
             if abs(b2 - b1) > 1e-12 * max(b1, 1e-300):
                 reduction_fails.append({"case": case, "t": t, "b1": b1, "b2": b2})

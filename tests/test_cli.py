@@ -70,6 +70,7 @@ class TestRun:
             ({"attack": {"kind": "gaussian", "mean_mode": "bogus"}}, "attack.mean_mode"),
             ({"attack": {"kind": "fixed", "vector": [1.0, math.inf, 0.0]}}, "attack.vector"),
             ({"aggregator": {"kind": "geomed", "tol": 0.0}}, "aggregator.tol"),
+            ({"aggregator": {"kind": "geomed", "tol": 1e-320}}, "aggregator.tol"),
             ({"aggregator": {"kind": "geomed", "max_iters": 0}}, "aggregator.max_iters"),
             ({"aggregator": {"kind": "trimmed_mean", "trim_fraction": 0.6}}, "aggregator.trim_fraction"),
             ({"oracle": {"kind": "minibatch", "batch_size": 21}}, "oracle.batch_size"),
@@ -85,6 +86,7 @@ class TestRun:
             "mean_mode",
             "vector",
             "tol",
+            "tol-subnormal",
             "max_iters",
             "trim_fraction",
             "batch_size",

@@ -72,12 +72,17 @@ class TestParsing:
     def test_aggregator_validation(self):
         for bad in (
             dict(tol=0.0),
+            dict(tol=1e-320),
             dict(max_iters=0),
             dict(trim_fraction=0.5),
             dict(trim_fraction=-0.1),
         ):
             with pytest.raises(ConfigError):
                 AggregatorSpec(**bad)
+        # tol is the Weiszfeld distance floor, so 1/tol bounds the weights.
+        with pytest.raises(ConfigError, match=r"aggregator.tol must be >= 1e-150, got 1e-320"):
+            AggregatorSpec(tol=1e-320)
+        assert AggregatorSpec(tol=1e-150).tol == 1e-150
         assert AggregatorSpec(kind="trimmed_mean", trim_fraction=0.0, max_iters=1).max_iters == 1
         # geometric_median's stopping defaults; tol is also its distance floor.
         spec = AggregatorSpec()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -49,7 +51,7 @@ class TestRunRound:
             from byzfl.clients import honest_local_update
 
             single = honest_local_update(
-                prep.problem, [0], prep.w1, 1, prep.schedule.rates(1)[:1], prep.oracle, prep.master_seed
+                prep.problem, [0], prep.w1, 1, prep.schedule.rates[:1], prep.schedule.steps(1), prep.oracle, prep.master_seed
             )[0]
             w_next, _, rec = run_round(prep, prep.w1, 1)
             assert np.array_equal(w_next, single), agg_kind
@@ -80,8 +82,8 @@ class TestRunRound:
         from byzfl.clients import honest_local_update
 
         w_t = prep.w1 + 1.0
-        rates = prep.schedule.rates(1)[: len(prep.honest_ids)]
-        uploads = honest_local_update(prep.problem, prep.honest_ids, w_t, 1, rates, prep.oracle, prep.master_seed)
+        rates, K = prep.schedule.rates[: len(prep.honest_ids)], prep.schedule.steps(1)
+        uploads = honest_local_update(prep.problem, prep.honest_ids, w_t, 1, rates, K, prep.oracle, prep.master_seed)
         honest_dists = np.linalg.norm(uploads - prep.w_star, axis=1)
         w_next, _, _ = run_round(prep, w_t, 1)
         bound = c_beta(0.4) * max(honest_dists)
@@ -101,8 +103,8 @@ class TestRunRound:
         c, H = prep.consts, len(prep.honest_ids)
         cum = 1.0
         for rec in run_prepared(prep):
-            rates = prep.schedule.rates(rec.t)[:H]
-            cum *= theory.theorem2_round_multiplier(rec.t, rates, c.mu, c.L_const, c.delta, prep.M, prep.B)
+            rates, K = prep.schedule.rates[:H], prep.schedule.steps(rec.t)
+            cum *= theory.theorem2_round_multiplier(rec.t, rates, K, c.mu, c.L_const, c.delta, prep.M, prep.B)
             assert rec.theorem2_bound == 0.5 * c.L_const * prep.w1_gap_sq * cum
         half = small_config(n_byzantine=4, override_half_plus=True, schedule=ScheduleSpec(steps=3))
         assert prepare(half).theorem2_multiplier is None
@@ -185,6 +187,23 @@ class TestRunExperiment:
         r1 = run_experiment(small_config())
         r2 = run_experiment(small_config())
         assert [r.to_json_dict() for r in r1] == [r.to_json_dict() for r in r2]
+
+    def test_large_K_memory_is_per_client(self):
+        # Rates are one per client, so neither the client loop nor the
+        # Theorem-2 multiplier holds anything of size K: the default ridge
+        # problem at K = 1e5 prepares and runs in a few MB (an (M - B, K)
+        # rate array alone is 32 MB here).
+        cfg = ExperimentConfig(schedule=ScheduleSpec(kind="uniform", steps=100_000), rounds=3)
+        tracemalloc.start()
+        try:
+            prep = prepare(cfg)
+            records = run_prepared(prep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+        assert prep.theorem2_multiplier is not None and len(records) == 3
+        assert all(np.isfinite(r.optimality_gap) and r.theorem2_bound is not None for r in records)
 
     def test_trace_length_and_fields(self):
         records = run_experiment(small_config(rounds=5))

@@ -167,38 +167,38 @@ class TestTheorem1Bound:
                 assert g ** (k - 1) * cb2 >= 1.0
 
 
-def uniform_rates(eta, K, H):
-    """A round's (H, K) honest rate array with every rate eta."""
-    return np.full((H, K), eta)
+def uniform_rates(eta, H):
+    """The (H,) honest rate vector with every rate eta."""
+    return np.full(H, eta)
 
 
-def loop_multiplier(rates, mu, L, delta, M, B):
-    """Reference: the round multiplier as a scalar double loop over clients, then steps."""
+def loop_multiplier(rates, K, mu, L, delta, M, B):
+    """Reference: the round multiplier as a scalar loop over clients, each factor multiplied K times."""
     total = 0.0
     negative = []
     for m in range(M - B):
+        g = theory.gamma(float(rates[m]), mu, L, delta)
+        if g <= 0.0 and K:
+            negative.append(m)
         prod = 1.0
-        for k in range(rates.shape[1]):
-            g = theory.gamma(float(rates[m, k]), mu, L, delta)
-            if g <= 0.0:
-                negative.append((m, k + 1))
+        for _ in range(K):
             prod *= g
         total += prod
     return theory.c_beta(B / M) ** 2 / (M - B) * total, negative
 
 
-def theorem2_envelope(t, rates, mu, L, delta, M, B, gap):
+def theorem2_envelope(t, rates, K, mu, L, delta, M, B, gap):
     """(L/2) * gap times the round multipliers of rounds 1..t, multiplied in round order as the server does."""
     prod = 1.0
     for i in range(1, t + 1):
-        prod *= theory.theorem2_round_multiplier(i, rates, mu, L, delta, M, B)
+        prod *= theory.theorem2_round_multiplier(i, rates, K, mu, L, delta, M, B)
     return 0.5 * L * gap * prod
 
 
 class TestTheorem2:
     def test_round_zero(self):
         # No round has run: the empty product leaves the prefactor (L/2) * ||w1 - w*||^2.
-        val = theorem2_envelope(0, uniform_rates(0.1, 3, 2), 1.0, 2.0, 0.0, 3, 1, 5.0)
+        val = theorem2_envelope(0, uniform_rates(0.1, 2), 3, 1.0, 2.0, 0.0, 3, 1, 5.0)
         assert val == 5.0
 
     def test_hand_case_round_multiplier(self):
@@ -206,8 +206,8 @@ class TestTheorem2:
         # mu = L = 1, gamma(eta) = (1-eta)^2, so single-step products of
         # 0.5 and 0.3 give round multiplier 2 * (0.5 + 0.3) = 1.6.
         mu, L = 1.0, 1.0
-        rates = np.array([[1 - math.sqrt(0.5)], [1 - math.sqrt(0.3)]])
-        mult = theory.theorem2_round_multiplier(1, rates, mu, L, 0.0, 2, 0)
+        rates = np.array([1 - math.sqrt(0.5), 1 - math.sqrt(0.3)])
+        mult = theory.theorem2_round_multiplier(1, rates, 1, mu, L, 0.0, 2, 0)
         assert mult == pytest.approx(1.6, rel=1e-12)
 
     def test_uniform_reduces_to_theorem1(self):
@@ -225,22 +225,22 @@ class TestTheorem2:
             p = theory.TheoryParams(
                 eta=eta, mu=mu, L_const=L, delta=delta, M=M, B=B, K=K, w1_gap_sq=gap
             )
-            rates = uniform_rates(eta, K, M - B)
+            rates = uniform_rates(eta, M - B)
             for t in (0, 1, 2, 5, 17, 100):
                 b1 = theory.theorem1_bound(t, p)
-                b2 = theorem2_envelope(t, rates, mu, L, delta, M, B, gap)
+                b2 = theorem2_envelope(t, rates, K, mu, L, delta, M, B, gap)
                 assert b2 == pytest.approx(b1, rel=1e-12)
 
     def test_nonpositive_factor_flagged_but_evaluated(self):
         # mu = L = 1, eta = 1 gives a per-step factor of exactly 0.
         with pytest.warns(RuntimeWarning):
-            val = theory.theorem2_round_multiplier(1, uniform_rates(1.0, 2, 2), 1.0, 1.0, 0.0, 2, 0)
+            val = theory.theorem2_round_multiplier(1, uniform_rates(1.0, 2), 2, 1.0, 1.0, 0.0, 2, 0)
         assert val == 0.0
 
     def test_vectorised_multiplier_equals_double_loop_bitwise(self):
-        # Random general schedules: per-client, per-step rates, K = 0
-        # included, some draws past eta_max (factors > 1) and some exactly
-        # at mu = L = 1, eta = 1 (factor 0, warned).
+        # Random general schedules: per-client rates, K = 0 included, some
+        # draws past eta_max (factors > 1) and some exactly at mu = L = 1,
+        # eta = 1 (factor 0, warned when it enters a product, K >= 1).
         rng = np.random.default_rng(11)
         for case in range(300):
             mu = float(rng.uniform(0.2, 1.0))
@@ -250,29 +250,48 @@ class TestTheorem2:
             B = int(rng.integers(0, (M - 1) // 2 + 1))
             K = int(rng.integers(0, 9))
             _, eta_max = theory.stable_eta_range(mu, L, delta)
-            rates = rng.uniform(0.01, 1.3, size=(M - B, K)) * eta_max
+            rates = rng.uniform(0.01, 1.3, size=M - B) * eta_max
             if case % 10 == 0:
                 mu = L = 1.0
                 delta = 0.0
                 rates[rng.random(rates.shape) < 0.3] = 1.0
-            expected, negative = loop_multiplier(rates, mu, L, delta, M, B)
+            expected, negative = loop_multiplier(rates, K, mu, L, delta, M, B)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                got = theory.theorem2_round_multiplier(case, rates, mu, L, delta, M, B)
+                got = theory.theorem2_round_multiplier(case, rates, K, mu, L, delta, M, B)
             assert np.float64(got).view(np.int64) == np.float64(expected).view(np.int64), case
             assert len(caught) == (1 if negative else 0)
             if negative:
-                assert str(negative[:3]) in str(caught[0].message)
+                assert f"clients {negative[:3]}" in str(caught[0].message)
+
+    def test_zero_steps_do_not_warn(self):
+        # With K = 0 no factor enters the product, so a factor <= 0 is no
+        # concern: the multiplier is C_beta^2 and nothing is reported.
+        rates = np.array([1.0, 0.5, 1.0])  # mu = L = 1: factors 0, 0.25, 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = theory.theorem2_round_multiplier(1, rates, 0, 1.0, 1.0, 0.0, 3, 0)
+        assert val == theory.c_beta(0.0) ** 2
+
+    def test_warning_names_clients(self):
+        # Honest client m is row m; the warning names the first three ids whose factor is <= 0.
+        rates = np.array([0.5, 1.0, 0.5, 1.0, 1.0, 1.0, 0.5])
+        with pytest.warns(RuntimeWarning, match=r"round 4: .* for clients \[1, 3, 4\]\.\.\."):
+            theory.theorem2_round_multiplier(4, rates, 2, 1.0, 1.0, 0.0, 9, 2)
+        with pytest.warns(RuntimeWarning, match=r"for clients \[5\];"):
+            theory.theorem2_round_multiplier(4, np.array([0.5] * 5 + [1.0]), 1, 1.0, 1.0, 0.0, 6, 0)
 
     def test_rejects_nonpositive_rate_and_wrong_row_count(self):
         with pytest.raises(ValueError, match="eta must be positive"):
-            theory.theorem2_round_multiplier(1, np.array([[0.1, 0.0]]), 1.0, 1.0, 0.0, 1, 0)
-        with pytest.raises(ValueError, match="honest rate rows"):
-            theory.theorem2_round_multiplier(1, uniform_rates(0.1, 2, 3), 1.0, 1.0, 0.0, 5, 1)
+            theory.theorem2_round_multiplier(1, np.array([0.1, 0.0]), 2, 1.0, 1.0, 0.0, 2, 0)
+        with pytest.raises(ValueError, match="expected 4 honest rates"):
+            theory.theorem2_round_multiplier(1, uniform_rates(0.1, 3), 2, 1.0, 1.0, 0.0, 5, 1)
+        with pytest.raises(ValueError, match="expected 2 honest rates"):
+            theory.theorem2_round_multiplier(1, np.full((2, 3), 0.1), 3, 1.0, 1.0, 0.0, 2, 0)
 
 
 class TestZeroGapCondition:
-    """The envelope decays to a zero gap iff the round multiplier is < 1, i.e. sum_m prod_k gamma < (M - B) / C_beta^2."""
+    """The envelope decays to a zero gap iff the round multiplier is < 1, i.e. sum_m gamma_m^K < (M - B) / C_beta^2."""
 
     def test_uniform_equivalence_with_contraction(self):
         mu, L, delta = 1.0, 2.0, 0.0
@@ -281,15 +300,15 @@ class TestZeroGapCondition:
         eta = 0.5 * eta_max
         g = theory.gamma(eta, mu, L, delta)
         for K in range(1, 40):
-            cond = theory.theorem2_round_multiplier(1, uniform_rates(eta, K, M - B), mu, L, delta, M, B) < 1.0
+            cond = theory.theorem2_round_multiplier(1, uniform_rates(eta, M - B), K, mu, L, delta, M, B) < 1.0
             assert cond == (g**K * theory.c_beta(B / M) ** 2 < 1.0)
 
     def test_hand_case_honest_sum(self):
         # M=10, B=2: threshold (M-B)/C_beta^2 = 8 / (8/3)^2 = 1.125.
         # All-one factors (K=0 steps) give sum = 8 -> False.
         M, B = 10, 2
-        assert not theory.theorem2_round_multiplier(1, uniform_rates(0.1, 0, 8), 1.0, 1.0, 0.0, M, B) < 1.0
+        assert not theory.theorem2_round_multiplier(1, uniform_rates(0.1, 8), 0, 1.0, 1.0, 0.0, M, B) < 1.0
         # Single-step factors 0.125 each give sum 1.0 < 1.125 -> True.
         # gamma(eta) = (1-eta)^2 = 0.125 -> eta = 1 - sqrt(0.125)
         eta = 1 - math.sqrt(0.125)
-        assert theory.theorem2_round_multiplier(1, uniform_rates(eta, 1, 8), 1.0, 1.0, 0.0, M, B) < 1.0
+        assert theory.theorem2_round_multiplier(1, uniform_rates(eta, 8), 1, 1.0, 1.0, 0.0, M, B) < 1.0
