@@ -12,6 +12,7 @@ with client m stepping at eta_m for all K^t of the round's local steps.
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -106,9 +107,9 @@ class TheoryParams:
     def gamma(self) -> float:
         return gamma(self.eta, self.mu, self.L_const, self.delta)
 
-    @property
+    @cached_property
     def contraction_factor(self) -> float:
-        """Per-round envelope factor gamma^K * C_beta^2."""
+        """Per-round envelope factor gamma^K * C_beta^2, computed once per params object."""
         return self.gamma**self.K * c_beta(self.beta) ** 2
 
 
@@ -125,12 +126,13 @@ def theorem2_round_multiplier(
     """Round-i envelope factor (C_beta^2 / (M - B)) * sum over honest m of gamma(eta_m)^K.
 
     ``rates`` is the (M - B,) honest rate vector and K is K^i. Each power is
-    K multiplications in order from 1.0 and the sum over m runs in order, as
-    scalar loops would; a vectorised ``**`` would round differently, and
-    differently on different CPUs. A factor computed as <= 0 that enters the
-    product (K >= 1) is reported via a warning; the multiplier is still
-    evaluated, since the recurrence it feeds presumes nonnegative factors
-    only for interpretability, not for evaluation.
+    K multiplications in order from 1.0, one loop per distinct factor (a
+    uniform schedule has one), and the sum over m runs in order; a
+    vectorised ``**`` would round differently, and differently on different
+    CPUs. A factor computed as <= 0 that enters the product (K >= 1) is
+    reported via a warning; the multiplier is still evaluated, since the
+    recurrence it feeds presumes nonnegative factors only for
+    interpretability, not for evaluation.
     """
     if rates.shape != (M - B,):
         raise ValueError(f"expected {M - B} honest rates, got shape {rates.shape}")
@@ -144,7 +146,11 @@ def theorem2_round_multiplier(
             RuntimeWarning,
             stacklevel=2,
         )
-    prods = np.ones(M - B)
-    for _ in range(K):
-        prods *= factors
-    return cb2 / (M - B) * float(np.cumsum(prods)[-1])
+    distinct, which = np.unique(factors, return_inverse=True)
+    powers = []
+    for f in distinct.tolist():
+        power = 1.0
+        for _ in range(K):
+            power *= f
+        powers.append(power)
+    return cb2 / (M - B) * float(np.cumsum(np.array(powers)[which])[-1])

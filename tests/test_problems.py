@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from byzfl.problems import (
     optimum,
     problem_from_csv,
 )
-from byzfl.problems import _sigmoid, _softplus
+from byzfl.problems import _DRAW_BYTES, _minibatches, _oracle_draws, _sigmoid, _softplus
 from byzfl.problems import test_accuracy as held_out_accuracy
 from byzfl.rng import substream
 
@@ -139,6 +140,12 @@ class TestLosses:
             out = _softplus(z)
         ulp = np.spacing(np.abs(ref.astype(np.float64)))
         assert np.all(np.abs(out.astype(np.longdouble) - ref) <= 2 * ulp)
+
+    def test_sigmoid_one_division_equals_the_two_branch_form_bitwise(self):
+        z = np.random.default_rng(8).standard_normal(10_000) * 10.0 ** np.linspace(-300, 3, 10_000)
+        z = np.concatenate([z, -z, [0.0, -0.0, 800.0, -800.0]])
+        e = np.exp(-np.abs(z))
+        assert np.array_equal(_sigmoid(z), np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e)))
 
     def test_logistic_gap_keeps_full_precision_near_the_optimum(self):
         prob = make_synthetic(p=5, M=20, S_per_user=50, seed=1, heterogeneity=0.5, loss_kind=Logistic(lam=0.1))
@@ -288,6 +295,69 @@ class TestStochasticOracles:
         prob = make_synthetic(p=2, M=1, S_per_user=4, seed=16)
         with pytest.raises(ValueError):
             local_stoch_grad(prob, [0], np.zeros((1, 2)), OracleSpec(kind="minibatch", batch_size=2))
+
+
+def padded_problem(counts, p=3, seed=0, kind=Logistic(lam=0.2)):
+    """A problem whose users hold ``counts`` samples, zero-padded to the largest."""
+    rng = np.random.default_rng(seed)
+    users = [Dataset(inputs=rng.standard_normal((s, p)), targets=(rng.random(s) < 0.5).astype(float)) for s in counts]
+    return Problem.from_datasets(users, kind)
+
+
+class TestMinibatchDraw:
+    @pytest.mark.parametrize("counts", [[40, 40, 40], [17, 40, 23, 16], [1, 3, 2]])
+    def test_batch_is_the_smallest_random_keys_in_key_order(self, counts):
+        # rng.random keys each word's top 53 bits; for S_max <= 2048 the
+        # sampler compares the same bits, so its batch is the b smallest
+        # rng.random keys drawn from the same state, in ascending key order.
+        prob = padded_problem(counts)
+        ids = [3 % len(counts), 0, len(counts) - 1]
+        for b in (1, min(counts)):
+            for seed in range(20):
+                got = _minibatches(prob, ids, b, substream(seed, "mb"), 7)
+                rng = substream(seed, "mb")
+                keys = rng.random((7, *prob.targets.shape))[:, ids]
+                keys[:, prob.padding[ids]] = 2.0
+                want = np.argsort(keys, axis=-1)[..., :b] + (np.asarray(ids) * prob.targets.shape[1])[:, None]
+                assert np.array_equal(got, want)
+
+    def test_keys_above_2048_samples_tie_by_index(self):
+        # With S_max = 3000 the index takes the low 12 bits, one more than
+        # rng.random discards: keys are compared on their top 52 bits, ties
+        # broken by sample index.
+        prob = padded_problem([3000, 2100], p=1)
+        for seed in range(5):
+            got = _minibatches(prob, slice(0, 2), 9, substream(seed, "mb"), 3)
+            keys = (substream(seed, "mb").bit_generator.random_raw((3, 2, 3000)) >> np.uint64(12)).astype(float)
+            keys[:, prob.padding] = np.inf
+            want = np.argsort(keys, axis=-1, kind="stable")[..., :9] + np.array([0, 3000])[:, None]
+            assert np.array_equal(got, want)
+
+    def test_one_step_reads_the_stream_like_rng_random(self):
+        # A minibatch step advances the generator by one word per (user,
+        # sample), as rng.random((M, S_max)) does, whatever the batch.
+        prob = padded_problem([5, 9, 7])
+        oracle = OracleSpec(kind="minibatch", batch_size=4)
+        for ids in ([2], range(3), [1, 0]):
+            rng, ref = substream(3, "mb"), substream(3, "mb")
+            local_stoch_grad(prob, ids, np.zeros((len(ids), 3)), oracle, rng)
+            ref.random(prob.targets.shape)
+            assert rng.random() == ref.random()
+
+    def test_draw_block_is_capped_whatever_K(self):
+        # Only the chunk in use is drawn: 10^6 steps of M=50, S_max=200
+        # keys would be 80 GB as one block.
+        prob = make_synthetic(p=2, M=50, S_per_user=200, seed=0, loss_kind=Logistic(lam=0.1))
+        for oracle in (OracleSpec(kind="minibatch", batch_size=16), OracleSpec(kind="relative_noise", delta=0.5)):
+            tracemalloc.start()
+            try:
+                draws = _oracle_draws(prob, slice(0, 40), oracle, substream(0, "grad", 1), 10**6)
+                for _ in range(3):
+                    next(draws)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * _DRAW_BYTES
 
 
 def orthogonal_design_problem(eigs, lam, S=None):

@@ -155,6 +155,13 @@ class TestTheorem1Bound:
         values = [theory.theorem1_bound(t, expanding) for t in range(31)]
         assert all(b2 > b1 for b1, b2 in zip(values, values[1:]))
 
+    def test_contraction_factor_computed_once_with_the_same_bits(self, monkeypatch):
+        p = self.params(eta=0.3, mu=0.7, L_const=1.9, delta=0.4, K=7, M=10, B=3)
+        expected = theory.gamma(0.3, 0.7, 1.9, 0.4) ** 7 * theory.c_beta(0.3) ** 2
+        assert np.float64(p.contraction_factor).view(np.int64) == np.float64(expected).view(np.int64)
+        monkeypatch.setattr(theory, "gamma", None)
+        assert theory.theorem1_bound(2, p) == 0.5 * 1.9 * expected**2 * 1.0
+
     def test_min_K_is_first_monotone_K(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
@@ -263,6 +270,28 @@ class TestTheorem2:
             assert len(caught) == (1 if negative else 0)
             if negative:
                 assert f"clients {negative[:3]}" in str(caught[0].message)
+
+    @pytest.mark.parametrize("case", ["uniform", "repeats", "zero_steps"])
+    def test_distinct_factor_loops_equal_the_vector_loop_bitwise(self, case):
+        # One scalar power loop per distinct factor gives the bits of
+        # multiplying every honest factor K times as one vector.
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            mu = float(rng.uniform(0.2, 1.0))
+            L = mu * float(rng.uniform(1.0, 3.0))
+            delta = float(rng.uniform(0.0, 1.0))
+            M = int(rng.integers(2, 40))
+            B = int(rng.integers(0, (M - 1) // 2 + 1))
+            _, eta_max = theory.stable_eta_range(mu, L, delta)
+            pool = rng.uniform(0.01, 1.0, size=1 if case == "uniform" else 3) * eta_max
+            rates = rng.choice(pool, size=M - B)
+            K = 0 if case == "zero_steps" else int(rng.integers(1, 3000))
+            prods = np.ones(M - B)
+            for _ in range(K):
+                prods *= theory.gamma(rates, mu, L, delta)
+            expected = theory.c_beta(B / M) ** 2 / (M - B) * float(np.cumsum(prods)[-1])
+            got = theory.theorem2_round_multiplier(1, rates, K, mu, L, delta, M, B)
+            assert np.float64(got).view(np.int64) == np.float64(expected).view(np.int64)
 
     def test_zero_steps_do_not_warn(self):
         # With K = 0 no factor enters the product, so a factor <= 0 is no
