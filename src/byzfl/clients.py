@@ -19,8 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import AttackSpec, OracleSpec, ScheduleSpec
-from .problems import Problem, _oracle_draws, _oracle_grads, _user_rows
-from .problems import local_stoch_grad  # noqa: F401  bench/run.py times calls by this name
+from .problems import Problem, _user_rows, local_stoch_grad
 from .rng import substream
 
 __all__ = ["Schedule", "honest_local_update", "byzantine_message"]
@@ -70,8 +69,8 @@ def honest_local_update(
     eta[i], and K is the round's K^t. Step k uses one batched gradient
     whose draws are the k-th (M, .) block of the stream keyed
     (master_seed, 'grad', t), so each row is independent of the batch's
-    membership and order. K = 0 returns copies of w_t. A step-1 range of
-    ids is indexed by views of the per-user arrays.
+    membership and order. K = 0 returns copies of w_t. A range of ids is
+    passed on as a range, which ``local_stoch_grad`` indexes by views.
 
     Full-oracle ridge rows whose user Hessian is positive definite take the
     exact K-step map (``RidgeSpectrum.full_steps``) instead of the loop; it
@@ -97,17 +96,11 @@ def honest_local_update(
 
 
 def _local_sgd(problem, ids, w_t, t, eta, K, oracle, master_seed) -> np.ndarray:
-    """The K-step loop of ``honest_local_update``: one batched gradient step per k.
-
-    Step k's gradients equal the k-th of K ``local_stoch_grad`` calls on
-    one generator, bitwise; the oracle is validated once, and its draws
-    come a chunk of steps at a time.
-    """
-    rows = _user_rows(problem, ids)
+    """The K-step loop of ``honest_local_update``: one batched gradient step per k."""
     W = np.tile(w_t, (eta.size, 1))
     rng = substream(master_seed, "grad", t) if oracle.kind != "full" else None
-    for draw in _oracle_draws(problem, rows, oracle, rng, K):
-        W -= eta[:, None] * _oracle_grads(problem, rows, W, oracle, draw)
+    for _ in range(K):
+        W -= eta[:, None] * local_stoch_grad(problem, ids, W, oracle, rng)
     return W
 
 

@@ -13,7 +13,6 @@ given its inputs; stochastic oracles take the generator they draw from.
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .config import OracleSpec
 from .rng import substream
 
 _SOLVE_RTOL = 1e-12  # ridge normal-equation residual target, relative to ||b||
-_DRAW_BYTES = 1 << 20  # largest block one _oracle_draws call takes from rng for several steps
 
 __all__ = [
     "Ridge",
@@ -207,6 +205,11 @@ class Problem:
         coords = np.divide(coords, values, out=np.zeros_like(coords), where=definite[:, None])
         return RidgeSpectrum(values, vectors, coords, definite)
 
+    @cached_property
+    def _sample_tags(self) -> np.ndarray:
+        """(M, S_max) uint64 minibatch key tags: each sample's index, 2^64 - 1 at padding; built on first use."""
+        return np.where(self.padding, ~np.uint64(0), np.arange(self.inputs.shape[1], dtype=np.uint64))
+
     @property
     def n_users(self) -> int:
         return self.inputs.shape[0]
@@ -354,10 +357,8 @@ def global_loss(problem: Problem, w) -> float:
         fit = _ridge_fits(problem, slice(None), w)
     else:
         z = (problem.inputs.reshape(-1, problem.dim) @ w).reshape(problem.targets.shape)
-        rows = _softplus(z) - problem.targets * z
-        if problem.counts.min() < problem.targets.shape[1]:
-            # A padding row would add log 2 to the logistic fit.
-            rows = np.where(problem.padding, 0.0, rows)
+        # A padding row would add log 2 to the logistic fit.
+        rows = np.where(problem.padding, 0.0, _softplus(z) - problem.targets * z)
         fit = np.sum(rows, axis=1) / problem.counts
     losses = fit + 0.5 * problem.lam * float(w @ w)
     return float(np.cumsum(problem.user_weights * losses)[-1])
@@ -420,9 +421,8 @@ def local_stoch_grad(
     users share the batch. Every call advances rng by the same amount, so
     a caller that draws its local steps in turn from one generator (one
     per round, keyed (round,)) reads step k's block at the same offset for
-    every batch; ``_oracle_draws`` reads the same blocks for many steps at
-    once. A step-1 range inside [0, M) is indexed by views of the per-user
-    arrays, with the same results.
+    every batch. A step-1 range inside [0, M) is indexed by views of the
+    per-user arrays, with the same results.
 
     Minibatch draw rule: the block holds one raw 64-bit word of rng per
     (user, sample), the words ``rng.random`` would turn into keys by
@@ -434,86 +434,53 @@ def local_stoch_grad(
     uniform subset drawn without replacement.
     """
     rows = _user_rows(problem, ids)
-    n = rows.stop - rows.start if isinstance(rows, slice) else rows.size
+    sliced = isinstance(rows, slice)
+    n = rows.stop - rows.start if sliced else rows.size
     W = np.asarray(W, dtype=np.float64)
     if W.shape != (n, problem.dim):
         raise ValueError(f"need W ({n}, {problem.dim}) for {n} ids, got {W.shape}")
-    draw = next(_oracle_draws(problem, rows, oracle, rng, 1))
-    return _oracle_grads(problem, rows, W, oracle, draw)
-
-
-def _oracle_draws(problem: Problem, rows, oracle: OracleSpec, rng: np.random.Generator | None, K: int):
-    """Yield the random draws of K successive oracle steps for the users ``rows`` (from ``_user_rows``).
-
-    Validates once: the generator is checked, and a minibatch's size
-    against every selected user's sample count, before the first step.
-    Minibatch steps yield (n, b) flat sample indices into the (M * S_max)
-    stacked rows, relative-noise steps (n, p) unit directions, full and
-    delta-0 steps None. Step k reads the k-th block of rng, as the k-th of
-    K ``local_stoch_grad`` calls would; the blocks of several steps come
-    from one rng call, but no call draws more than ``_DRAW_BYTES`` (or
-    one step's block, if that is larger), whatever K.
-    """
-    if oracle.kind != "full" and rng is None:
+    kind, lam = problem.loss_kind, problem.lam
+    if oracle.kind == "full":
+        if isinstance(kind, Ridge):
+            return np.matmul(problem.grams[rows], W[:, :, None])[:, :, 0] - problem.moments[rows] + lam * W
+        fit = _fit_grads(kind, problem.inputs[rows], problem.targets[rows], W)
+        return fit / problem.counts[rows, None] + lam * W
+    if rng is None:
         raise ValueError(f"{oracle.kind} oracle needs a random generator")
-    M, S, p = problem.inputs.shape
     if oracle.kind == "minibatch":
         b = oracle.batch_size
-        short = np.flatnonzero(problem.counts[rows] < b)
+        ids = np.arange(rows.start, rows.stop) if sliced else rows
+        short = ids[problem.counts[ids] < b]
         if short.size:
-            m = np.arange(M)[rows][short[0]]
+            m = short[0]
             raise ValueError(f"batch_size {b} exceeds user {m}'s {problem.counts[m]} samples")
-    elif oracle.kind == "full" or oracle.delta == 0.0:
-        yield from repeat(None, K)
-        return
-    chunk = max(1, _DRAW_BYTES // (8 * M * (S if oracle.kind == "minibatch" else p)))
-    for start in range(0, K, chunk):
-        steps = min(chunk, K - start)
-        if oracle.kind == "minibatch":
-            yield from _minibatches(problem, rows, oracle.batch_size, rng, steps)
-        else:
-            yield from _unit_directions(problem, rows, rng, steps)
+        flat = _minibatch(problem, rows, ids, b, rng)
+        X = problem.inputs.reshape(-1, problem.dim).take(flat, axis=0)
+        return _fit_grads(kind, X, problem.targets.take(flat), W) / b + lam * W
+    # relative_noise: perturb the global gradient along a uniform unit direction.
+    G = _global_grads(problem, W)
+    if oracle.delta == 0.0:
+        return G
+    D = rng.standard_normal((problem.n_users, problem.dim))[rows]
+    D /= _row_norms(D)[:, None]
+    return G + oracle.delta * _row_norms(G)[:, None] * D
 
 
-def _oracle_grads(problem: Problem, rows, W: np.ndarray, oracle: OracleSpec, draw) -> np.ndarray:
-    """One oracle step's gradients for the users ``rows`` at the rows of W, from one ``_oracle_draws`` draw."""
-    kind, lam = problem.loss_kind, problem.lam
-    if oracle.kind == "minibatch":
-        X = problem.inputs.reshape(-1, problem.dim).take(draw, axis=0)
-        return _fit_grads(kind, X, problem.targets.take(draw), W) / oracle.batch_size + lam * W
-    if oracle.kind == "relative_noise":
-        # Perturb the global gradient along a uniform unit direction.
-        G = _global_grads(problem, W)
-        return G if draw is None else G + oracle.delta * _row_norms(G)[:, None] * draw
-    if isinstance(kind, Ridge):
-        return np.matmul(problem.grams[rows], W[:, :, None])[:, :, 0] - problem.moments[rows] + lam * W
-    return _fit_grads(kind, problem.inputs[rows], problem.targets[rows], W) / problem.counts[rows, None] + lam * W
-
-
-def _minibatches(problem: Problem, rows, b: int, rng: np.random.Generator, steps: int) -> np.ndarray:
-    """Flat sample indices (steps, n, b) of ``steps`` successive minibatches, by ``local_stoch_grad``'s draw rule.
+def _minibatch(problem: Problem, rows, ids: np.ndarray, b: int, rng: np.random.Generator) -> np.ndarray:
+    """Flat sample indices (n, b) into the (M * S_max) stacked rows: one step's batches, by ``local_stoch_grad``'s rule.
 
     Each raw word's low ceil(log2 S_max) bits are overwritten with its
-    sample index and padding keys are set to 2^64 - 1, so one uint64 sort
-    per row orders the samples by key, then index, and the low bits of
-    its first b entries are the batch.
+    sample's tag (``Problem._sample_tags``: its index, all ones at padding),
+    so one uint64 sort per row (numpy's SIMD sort) orders the samples by
+    key, then index, and the low bits of its first b entries are the batch.
     """
     M, S = problem.targets.shape
     index_bits = np.uint64((1 << (S - 1).bit_length()) - 1)
-    keys = rng.bit_generator.random_raw(steps * M * S).reshape(steps, M, S)[:, rows]
+    keys = rng.bit_generator.random_raw(M * S).reshape(M, S)[rows]
     keys &= ~index_bits
-    keys |= np.where(problem.padding[rows], ~np.uint64(0), np.arange(S, dtype=np.uint64))
-    keys.sort(axis=-1)
-    first = np.arange(0, M * S, S)[rows]
-    return (keys[..., :b] & index_bits).astype(np.intp) + first[:, None]
-
-
-def _unit_directions(problem: Problem, rows, rng: np.random.Generator, steps: int) -> np.ndarray:
-    """Uniform unit directions (steps, n, p): ``steps`` successive standard-normal blocks, rows normalised."""
-    D = rng.standard_normal((steps, problem.n_users, problem.dim))[:, rows]
-    flat = D.reshape(-1, problem.dim)
-    flat /= _row_norms(flat)[:, None]
-    return flat.reshape(D.shape)
+    keys |= problem._sample_tags[rows]
+    keys.sort(axis=1)
+    return (keys[:, :b] & index_bits).astype(np.intp) + S * ids[:, None]
 
 
 def constants(problem: Problem, oracle: OracleSpec | None = None) -> SmoothnessConstants:

@@ -13,6 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -126,10 +127,12 @@ def theorem2_round_multiplier(
     """Round-i envelope factor (C_beta^2 / (M - B)) * sum over honest m of gamma(eta_m)^K.
 
     ``rates`` is the (M - B,) honest rate vector and K is K^i. Each power is
-    K multiplications in order from 1.0, one loop per distinct factor (a
-    uniform schedule has one), and the sum over m runs in order; a
-    vectorised ``**`` would round differently, and differently on different
-    CPUs. A factor computed as <= 0 that enters the product (K >= 1) is
+    K multiplications in order from 1.0, and the sum over m runs in order;
+    a vectorised ``**`` would round differently, and differently on
+    different CPUs. When all honest clients share one factor (uniform and
+    decay schedules), its power is one ``math.prod``, the same in-order
+    product run in C; otherwise the K multiplications act on the vector of
+    factors. A factor computed as <= 0 that enters the product (K >= 1) is
     reported via a warning; the multiplier is still evaluated, since the
     recurrence it feeds presumes nonnegative factors only for
     interpretability, not for evaluation.
@@ -146,11 +149,10 @@ def theorem2_round_multiplier(
             RuntimeWarning,
             stacklevel=2,
         )
-    distinct, which = np.unique(factors, return_inverse=True)
-    powers = []
-    for f in distinct.tolist():
-        power = 1.0
+    prods = np.ones(M - B)
+    if K and (factors == factors[0]).all():
+        prods *= math.prod(repeat(float(factors[0]), K), start=1.0)
+    else:
         for _ in range(K):
-            power *= f
-        powers.append(power)
-    return cb2 / (M - B) * float(np.cumsum(np.array(powers)[which])[-1])
+            prods *= factors
+    return cb2 / (M - B) * float(np.cumsum(prods)[-1])

@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 
-from byzfl import problems
 from byzfl.clients import Schedule, byzantine_message, honest_local_update
 from byzfl.config import AttackSpec, ExperimentConfig, OracleSpec, ScheduleSpec, SyntheticProblemSpec
 from byzfl.problems import (
@@ -218,30 +217,6 @@ class TestHonestLocalUpdate:
                 local_stoch_grad(prob, [0, 1], np.zeros((2, 3)), OracleSpec(kind="minibatch", batch_size=4), substream(1, "grad"))
 
 
-@pytest.mark.parametrize("kind", LOSSES, ids=lambda k: type(k).__name__)
-@pytest.mark.parametrize(
-    "mode", [OracleSpec(kind="minibatch", batch_size=3), OracleSpec(kind="relative_noise", delta=0.4)], ids=["Minibatch", "RelativeNoise"]
-)
-def test_chunked_steps_equal_successive_oracle_calls(tmp_path, monkeypatch, mode, kind):
-    # The step loop draws several steps' blocks per generator call; its
-    # uploads equal K successive local_stoch_grad calls on one generator,
-    # bitwise, with chunks of 1, 3 and more than K steps. Users hold 3, 9
-    # and 5 samples (padding), and batch_size 3 is the smallest count; an
-    # empty batch returns an empty array.
-    prob = unequal_csv_problem(tmp_path, kind)
-    M, S, p = prob.inputs.shape
-    width = S if mode.kind == "minibatch" else p
-    w_t = substream(5, "wt").standard_normal(p)
-    for ids in ([2, 0, 1], range(3), range(1, 3), [1], []):
-        eta = np.linspace(0.05, 0.1, len(ids))
-        W, rng = np.tile(w_t, (len(ids), 1)), substream(7, "grad", 4)
-        for _ in range(8):
-            W -= eta[:, None] * local_stoch_grad(prob, ids, W, mode, rng)
-        for steps in (1, 3, 100):
-            monkeypatch.setattr(problems, "_DRAW_BYTES", 8 * M * width * steps)
-            assert np.array_equal(honest_local_update(prob, ids, w_t, 4, eta, 8, mode, 7), W)
-
-
 def loop_steps(prob, ids, w_t, eta, K):
     """The reference K-step loop: K full-oracle gradient steps, row i at rate eta[i]."""
     W = np.tile(w_t, (len(ids), 1))
@@ -250,18 +225,15 @@ def loop_steps(prob, ids, w_t, eta, K):
     return W
 
 
-def unequal_csv_problem(tmp_path, kind=Ridge(lam=0.3)):
+def unequal_csv_problem(tmp_path):
     # Users hold 3, 9 and 5 samples in p=3, so the stacked data carries padding.
     rng = np.random.default_rng(4)
     paths = []
     for m, s in enumerate([3, 9, 5]):
         path = tmp_path / f"u{m}.csv"
-        table = rng.standard_normal((s, 4))
-        if isinstance(kind, Logistic):
-            table[:, -1] = table[:, -1] > 0
-        np.savetxt(path, table, delimiter=",")
+        np.savetxt(path, rng.standard_normal((s, 4)), delimiter=",")
         paths.append(str(path))
-    return problem_from_csv(paths, kind)
+    return problem_from_csv(paths, Ridge(lam=0.3))
 
 
 SCHEDULES = {

@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +19,7 @@ from byzfl.problems import (
     optimum,
     problem_from_csv,
 )
-from byzfl.problems import _DRAW_BYTES, _minibatches, _oracle_draws, _sigmoid, _softplus
+from byzfl.problems import _minibatch, _sigmoid, _softplus
 from byzfl.problems import test_accuracy as held_out_accuracy
 from byzfl.rng import substream
 
@@ -311,15 +310,16 @@ class TestMinibatchDraw:
         # sampler compares the same bits, so its batch is the b smallest
         # rng.random keys drawn from the same state, in ascending key order.
         prob = padded_problem(counts)
-        ids = [3 % len(counts), 0, len(counts) - 1]
+        ids = np.array([3 % len(counts), 0, len(counts) - 1])
         for b in (1, min(counts)):
             for seed in range(20):
-                got = _minibatches(prob, ids, b, substream(seed, "mb"), 7)
-                rng = substream(seed, "mb")
-                keys = rng.random((7, *prob.targets.shape))[:, ids]
-                keys[:, prob.padding[ids]] = 2.0
-                want = np.argsort(keys, axis=-1)[..., :b] + (np.asarray(ids) * prob.targets.shape[1])[:, None]
-                assert np.array_equal(got, want)
+                rng, ref = substream(seed, "mb"), substream(seed, "mb")
+                for _ in range(3):
+                    got = _minibatch(prob, ids, ids, b, rng)
+                    keys = ref.random(prob.targets.shape)[ids]
+                    keys[prob.padding[ids]] = 2.0
+                    want = np.argsort(keys, axis=1)[:, :b] + (ids * prob.targets.shape[1])[:, None]
+                    assert np.array_equal(got, want)
 
     def test_keys_above_2048_samples_tie_by_index(self):
         # With S_max = 3000 the index takes the low 12 bits, one more than
@@ -327,10 +327,10 @@ class TestMinibatchDraw:
         # broken by sample index.
         prob = padded_problem([3000, 2100], p=1)
         for seed in range(5):
-            got = _minibatches(prob, slice(0, 2), 9, substream(seed, "mb"), 3)
-            keys = (substream(seed, "mb").bit_generator.random_raw((3, 2, 3000)) >> np.uint64(12)).astype(float)
-            keys[:, prob.padding] = np.inf
-            want = np.argsort(keys, axis=-1, kind="stable")[..., :9] + np.array([0, 3000])[:, None]
+            got = _minibatch(prob, slice(0, 2), np.arange(2), 9, substream(seed, "mb"))
+            keys = (substream(seed, "mb").bit_generator.random_raw((2, 3000)) >> np.uint64(12)).astype(float)
+            keys[prob.padding] = np.inf
+            want = np.argsort(keys, axis=1, kind="stable")[:, :9] + np.array([0, 3000])[:, None]
             assert np.array_equal(got, want)
 
     def test_one_step_reads_the_stream_like_rng_random(self):
@@ -343,21 +343,6 @@ class TestMinibatchDraw:
             local_stoch_grad(prob, ids, np.zeros((len(ids), 3)), oracle, rng)
             ref.random(prob.targets.shape)
             assert rng.random() == ref.random()
-
-    def test_draw_block_is_capped_whatever_K(self):
-        # Only the chunk in use is drawn: 10^6 steps of M=50, S_max=200
-        # keys would be 80 GB as one block.
-        prob = make_synthetic(p=2, M=50, S_per_user=200, seed=0, loss_kind=Logistic(lam=0.1))
-        for oracle in (OracleSpec(kind="minibatch", batch_size=16), OracleSpec(kind="relative_noise", delta=0.5)):
-            tracemalloc.start()
-            try:
-                draws = _oracle_draws(prob, slice(0, 40), oracle, substream(0, "grad", 1), 10**6)
-                for _ in range(3):
-                    next(draws)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 4 * _DRAW_BYTES
 
 
 def orthogonal_design_problem(eigs, lam, S=None):

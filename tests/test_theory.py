@@ -272,9 +272,10 @@ class TestTheorem2:
                 assert f"clients {negative[:3]}" in str(caught[0].message)
 
     @pytest.mark.parametrize("case", ["uniform", "repeats", "zero_steps"])
-    def test_distinct_factor_loops_equal_the_vector_loop_bitwise(self, case):
-        # One scalar power loop per distinct factor gives the bits of
-        # multiplying every honest factor K times as one vector.
+    def test_shared_factor_product_equals_the_vector_loop_bitwise(self, case):
+        # One math.prod of a factor all honest clients share gives the bits
+        # of multiplying every honest factor K times as one vector; so does
+        # the vector loop that rates with repeats take.
         rng = np.random.default_rng(23)
         for _ in range(100):
             mu = float(rng.uniform(0.2, 1.0))
