@@ -18,7 +18,7 @@ import numpy as np
 
 from .aggregation import _row_norms
 from .config import OracleSpec
-from .rng import substream
+from .rng import substream, substreams
 
 _SOLVE_RTOL = 1e-12  # ridge normal-equation residual target, relative to ||b||
 
@@ -415,9 +415,10 @@ def local_stoch_grad(
 ) -> np.ndarray:
     """Stochastic gradients of a batch of users: row i is user ids[i]'s at W[i].
 
-    The full oracle ignores rng. The others draw one whole block from it
+    The full oracle ignores rng. The others read one whole block from it
     with a row per user 0..M-1, whatever the batch, and keep the rows of
-    ``ids``, so a user's draw, like its gradient, does not depend on which
+    ``ids`` (a minibatch step over a range of ids skips the other rows'
+    words), so a user's draw, like its gradient, does not depend on which
     users share the batch. Every call advances rng by the same amount, so
     a caller that draws its local steps in turn from one generator (one
     per round, keyed (round,)) reads step k's block at the same offset for
@@ -473,10 +474,22 @@ def _minibatch(problem: Problem, rows, ids: np.ndarray, b: int, rng: np.random.G
     sample's tag (``Problem._sample_tags``: its index, all ones at padding),
     so one uint64 sort per row (numpy's SIMD sort) orders the samples by
     key, then index, and the low bits of its first b entries are the batch.
+
+    For a step-1 range of ids on a PCG64 stream, only the range's words are
+    drawn: ``advance`` skips the rows before and after it, so the stream
+    ends where the whole block would leave it. ``advance`` also drops a
+    buffered 32-bit half-word, which only 32-bit draws leave; the oracles
+    make none.
     """
     M, S = problem.targets.shape
     index_bits = np.uint64((1 << (S - 1).bit_length()) - 1)
-    keys = rng.bit_generator.random_raw(M * S).reshape(M, S)[rows]
+    bits = rng.bit_generator
+    if isinstance(rows, slice) and type(bits) is np.random.PCG64:
+        bits.advance(rows.start * S)
+        keys = bits.random_raw((rows.stop - rows.start) * S).reshape(-1, S)
+        bits.advance((M - rows.stop) * S)
+    else:
+        keys = bits.random_raw(M * S).reshape(M, S)[rows]
     keys &= ~index_bits
     keys |= problem._sample_tags[rows]
     keys.sort(axis=1)
@@ -592,10 +605,18 @@ def make_synthetic(
         X = np.broadcast_to(X_shared, (M, S_per_user, p))
         eps = np.broadcast_to(noise_shared, (M, S_per_user))
     else:
+        # User m's draws come from the keys ("data-x", m) and ("data-noise", m).
+        # Scaling them in place, then adding the shared term, rounds exactly
+        # as a * shared + b * draw.
         X, eps = np.empty((M, S_per_user, p)), np.empty((M, S_per_user))
-        for m in range(M):
-            X[m] = a * X_shared + b * substream(seed, "data-x", m).standard_normal((S_per_user, p))
-            eps[m] = a * noise_shared + b * substream(seed, "data-noise", m).standard_normal(S_per_user)
+        for rng, x in zip(substreams(seed, "data-x", M), X):
+            rng.standard_normal(out=x)
+        for rng, e in zip(substreams(seed, "data-noise", M), eps):
+            rng.standard_normal(out=e)
+        X *= b
+        X += a * X_shared
+        eps *= b
+        eps += a * noise_shared
     margin = np.matmul(X, w_true)
     y = margin + 0.1 * eps if isinstance(loss_kind, Ridge) else (margin + 0.5 * eps > 0.0).astype(np.float64)
 

@@ -1,4 +1,5 @@
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -333,6 +334,30 @@ class TestMinibatchDraw:
             want = np.argsort(keys, axis=1, kind="stable")[:, :9] + np.array([0, 3000])[:, None]
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("start, stop", [(0, 2), (3, 5), (1, 4), (2, 2)])
+    def test_range_draws_only_its_rows_and_ends_where_the_block_does(self, start, stop):
+        # A step-1 range draws its rows' words and skips the others with
+        # advance: batches and generator states equal the whole-block draw's
+        # after every step.
+        prob = padded_problem([17, 40, 23, 16, 30])
+        ids = np.arange(start, stop)
+        for seed in range(5):
+            rng, ref = substream(seed, "mb"), substream(seed, "mb")
+            for _ in range(3):
+                got, want = _minibatch(prob, slice(start, stop), ids, 5, rng), _minibatch(prob, ids, ids, 5, ref)
+                assert np.array_equal(got, want)
+                assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_range_on_another_bit_generator_reads_the_whole_block(self):
+        # Philox's advance counts blocks of words, not words: other bit
+        # generators keep the whole-block draw.
+        prob = padded_problem([17, 40, 23])
+        ids = np.arange(1, 3)
+        rng, ref = (np.random.Generator(np.random.Philox(7)) for _ in range(2))
+        for _ in range(3):
+            assert np.array_equal(_minibatch(prob, slice(1, 3), ids, 5, rng), _minibatch(prob, ids, ids, 5, ref))
+        assert np.array_equal(rng.bit_generator.random_raw(4), ref.bit_generator.random_raw(4))
+
     def test_one_step_reads_the_stream_like_rng_random(self):
         # A minibatch step advances the generator by one word per (user,
         # sample), as rng.random((M, S_max)) does, whatever the batch.
@@ -487,7 +512,47 @@ class TestOptimum:
             assert global_loss(prob, w_star + 0.1 * rng.standard_normal(3)) > f_star
 
 
+def per_user_synthetic(p, M, S, seed, h, kind, test_size=500):
+    """make_synthetic's data built the original way: one spawn-key generator per user, combined user by user."""
+
+    def stream(purpose, *indices):
+        tag = zlib.crc32(purpose.encode("utf-8"))
+        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tag, *indices)))
+
+    a, b = np.sqrt(1.0 - h), np.sqrt(h)
+    w_true = stream("data-wtrue").standard_normal(p) / np.sqrt(p)
+    X_shared = stream("data-x-shared").standard_normal((S, p))
+    noise_shared = stream("data-noise-shared").standard_normal(S)
+    X, eps = np.empty((M, S, p)), np.empty((M, S))
+    for m in range(M):
+        X[m] = a * X_shared + b * stream("data-x", m).standard_normal((S, p))
+        eps[m] = a * noise_shared + b * stream("data-noise", m).standard_normal(S)
+    margin = np.matmul(X, w_true)
+    y = margin + 0.1 * eps if isinstance(kind, Ridge) else (margin + 0.5 * eps > 0.0).astype(np.float64)
+    if isinstance(kind, Ridge):
+        return X, y, None
+    rng = stream("data-test")
+    X_test = rng.standard_normal((test_size, p))
+    y_test = (X_test @ w_true + 0.5 * rng.standard_normal(test_size) > 0.0).astype(np.float64)
+    return X, y, (X_test, y_test)
+
+
 class TestMakeSynthetic:
+    @pytest.mark.parametrize("h", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("M", [1, 7])
+    @pytest.mark.parametrize("kind", [Ridge(lam=0.5), Logistic(lam=0.1)], ids=lambda k: type(k).__name__)
+    def test_batched_streams_equal_the_per_user_loop_bitwise(self, h, M, kind):
+        for seed, p, S in ((0, 3, 11), (2**40 + 1, 5, 1)):
+            prob = make_synthetic(p=p, M=M, S_per_user=S, seed=seed, heterogeneity=h, loss_kind=kind)
+            X, y, test = per_user_synthetic(p, M, S, seed, h, kind)
+            assert prob.inputs.tobytes() == X.tobytes()
+            assert prob.targets.tobytes() == y.tobytes()
+            if test is None:
+                assert prob.test_set is None
+            else:
+                assert prob.test_set.inputs.tobytes() == test[0].tobytes()
+                assert prob.test_set.targets.tobytes() == test[1].tobytes()
+
     def test_same_seed_bitwise_identical(self):
         a = make_synthetic(p=4, M=3, S_per_user=10, seed=5, heterogeneity=0.5)
         b = make_synthetic(p=4, M=3, S_per_user=10, seed=5, heterogeneity=0.5)
