@@ -89,7 +89,7 @@ class Dataset:
             raise ValueError(
                 f"targets shape {self.targets.shape} does not match {self.inputs.shape[0]} rows"
             )
-        if not (np.isfinite(self.inputs).all() and np.isfinite(self.targets).all()):
+        if not (_all_finite(self.inputs) and _all_finite(self.targets)):
             raise ValueError("dataset contains non-finite values")
 
     @property
@@ -109,7 +109,10 @@ class Problem:
     are the first ``counts[m]`` rows and the rest is zero padding.
 
     Cached on build: ``grams`` G_m = X_m'X_m/S_m (M, p, p) and ``moments``
-    c_m = X_m'y_m/S_m (M, p), each one stacked product over the padded data.
+    c_m = X_m'y_m/S_m (M, p), each one stacked product over the padded data,
+    and their weighted sums over the users, sum_m u_m G_m and sum_m u_m c_m,
+    each one reduction that adds the users' terms in user order
+    (``_in_order_sum``), bitwise Python's ``sum`` over the users.
     Ridge problems also cache ``center`` w_c, the one solve of
     (G + lam I) w = c for the weighted G and c (lstsq, refined), which
     ``optimum`` returns as w*, and per user ``center_moments`` q_m =
@@ -148,9 +151,9 @@ class Problem:
         if self.counts.min() < 1 or self.counts.max() > self.inputs.shape[1]:
             raise ValueError(f"sample counts must lie in [1, {self.inputs.shape[1]}]")
         self.padding = np.arange(self.inputs.shape[1]) >= self.counts[:, None]
-        if np.any(self.inputs[self.padding]):
+        if self.counts.min() < self.inputs.shape[1] and np.any(self.inputs[self.padding]):
             raise ValueError("padding rows of inputs must be zero")
-        if not (np.isfinite(self.inputs).all() and np.isfinite(self.targets).all()):
+        if not (_all_finite(self.inputs) and _all_finite(self.targets)):
             raise ValueError("dataset contains non-finite values")
         self.user_weights = self.counts / self.counts.sum()
         # Cached second moments: G_m = X'X/S_m and c_m = X'y/S_m make full
@@ -158,8 +161,8 @@ class Problem:
         XT = np.swapaxes(self.inputs, 1, 2)
         self.grams = np.matmul(XT, self.inputs) / self.counts[:, None, None]
         self.moments = np.matmul(XT, self.targets[:, :, None])[:, :, 0] / self.counts[:, None]
-        self._gram_global = sum(u * g for u, g in zip(self.user_weights, self.grams))
-        self._moment_global = sum(u * c for u, c in zip(self.user_weights, self.moments))
+        self._gram_global = _in_order_sum(self.user_weights[:, None, None] * self.grams)
+        self._moment_global = _in_order_sum(self.user_weights[:, None] * self.moments)
         if isinstance(self.loss_kind, Ridge):
             # lstsq, unlike solve, accepts a singular Hessian; constants()
             # reports that case, and optimum() a stalled refinement.
@@ -274,6 +277,23 @@ class SmoothnessConstants:
             raise ValueError(f"delta must be nonnegative, got {self.delta}")
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of a is finite, read with no elementwise temporary.
+
+    NaN propagates through max and min, and +-inf is one of them.
+    """
+    return a.size == 0 or bool(np.isfinite(a.max()) and np.isfinite(a.min()))
+
+
+def _in_order_sum(rows: np.ndarray) -> np.ndarray:
+    """rows[0] + rows[1] + ... added in order, bitwise ``np.cumsum(rows, axis=0)[-1]``.
+
+    A reduction over the outer axis adds whole rows in turn. Over rows of
+    one element numpy would sum pairwise instead, so those take cumsum.
+    """
+    return np.add.reduce(rows, axis=0) if rows[0].size > 1 else np.cumsum(rows, axis=0)[-1]
+
+
 def _positive_definite(eigs: np.ndarray) -> np.ndarray:
     """Whether ascending eigenvalue rows (last axis) clear the ``matrix_rank`` tolerance p * eps * largest."""
     return eigs[..., 0] > eigs.shape[-1] * np.finfo(np.float64).eps * eigs[..., -1]
@@ -302,8 +322,15 @@ def _softplus(z: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(z))  # never overflows
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    """where(z >= 0, 1, e) / (1 + e) with e = exp(-|z|), which never overflows; two buffers, no other temporaries."""
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    s = (z >= 0).astype(np.float64)
+    np.maximum(s, e, out=s)  # 1 where z >= 0, as e <= 1; else e, as e >= 0
+    e += 1.0
+    s /= e
+    return s
 
 
 def _check_w(problem: Problem, w) -> np.ndarray:
@@ -365,28 +392,34 @@ def global_loss(problem: Problem, w) -> float:
 
 
 def _fit_grads(kind: LossKind, X: np.ndarray, y: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Rows X'(link(X w) - y), one per row w of W, with X (S, p) shared or stacked (n, S, p).
+    """Rows X_i'(link(X_i w_i) - y_i) for X stacked (n, S, p) and W (n, p), or at one w for every X_i if W is (p,).
 
-    W may carry extra leading axes that broadcast against X's. Stacked
-    matmuls run one BLAS matrix-vector product per row, so each row equals
-    the unbatched product bitwise, whatever else is in the batch.
+    Stacked matmuls run one BLAS matrix-vector product per row, so each row
+    equals the unbatched product bitwise, whatever else is in the batch.
     """
     z = np.matmul(X, W[..., None])[..., 0]
-    r = z - y if isinstance(kind, Ridge) else _sigmoid(z) - y
+    r = z if isinstance(kind, Ridge) else _sigmoid(z)
+    r -= y
     return np.matmul(np.swapaxes(X, -1, -2), r[..., None])[..., 0]
 
 
 def _global_grads(problem: Problem, W: np.ndarray) -> np.ndarray:
     """global_gradient at each row of W.
 
-    Logistic problems evaluate every (row, user) pair in one stacked call
-    and add the users' terms to lam * W sequentially in user order.
+    Logistic problems take one row w at a time: every user's fit gradient
+    at w from ``_fit_grads``, then the users' weighted terms, lam * w added
+    to the first, summed in user order.
     """
     if isinstance(problem.loss_kind, Ridge):
         return np.matmul(problem._gram_global, W[:, :, None])[:, :, 0] - problem._moment_global + problem.lam * W
-    F = _fit_grads(problem.loss_kind, problem.inputs, problem.targets, W[:, None, :])
-    terms = problem.user_weights[:, None] * (F / problem.counts[:, None])
-    return np.cumsum(np.concatenate([problem.lam * W[:, None, :], terms], axis=1), axis=1)[:, -1]
+    G = np.empty_like(W)
+    for w, g in zip(W, G):
+        terms = _fit_grads(problem.loss_kind, problem.inputs, problem.targets, w)
+        terms /= problem.counts[:, None]
+        terms *= problem.user_weights[:, None]
+        terms[0] += problem.lam * w
+        g[:] = _in_order_sum(terms)
+    return G
 
 
 def local_gradient(problem: Problem, m: int, w) -> np.ndarray:

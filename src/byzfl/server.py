@@ -183,7 +183,7 @@ def prepare(config: ExperimentConfig) -> PreparedExperiment:
             heterogeneity=config.problem.heterogeneity,
             loss_kind=kind,
         )
-    if not np.allclose(problem.user_weights, problem.user_weights[0]):
+    if problem.counts.min() < problem.counts.max() and not np.allclose(problem.user_weights, problem.user_weights[0]):
         warnings.warn(
             "users hold unequal sample counts: the unweighted aggregation fixed point "
             "need not coincide with the weighted optimum",

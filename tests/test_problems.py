@@ -20,7 +20,7 @@ from byzfl.problems import (
     optimum,
     problem_from_csv,
 )
-from byzfl.problems import _minibatch, _sigmoid, _softplus
+from byzfl.problems import _in_order_sum, _minibatch, _sigmoid, _softplus
 from byzfl.problems import test_accuracy as held_out_accuracy
 from byzfl.rng import substream
 
@@ -37,6 +37,20 @@ def finite_diff_gradient(f, w, h=1e-6):
 
 def single_user_problem(X, y, kind):
     return Problem.from_datasets((Dataset(inputs=X, targets=y),), kind)
+
+
+def csv_problem(tmp_path, rows, kind, seed=0):
+    """One CSV per user with 3 feature columns and a label column, ``rows`` rows each; 0/1 labels for logistic."""
+    rng = np.random.default_rng(seed)
+    paths = []
+    for m, n in enumerate(rows):
+        table = rng.standard_normal((n, 4))
+        if isinstance(kind, Logistic):
+            table[:, -1] = table[:, -1] > 0.0
+        path = tmp_path / f"user{m}.csv"
+        np.savetxt(path, table, delimiter=",")
+        paths.append(str(path))
+    return problem_from_csv(paths, kind)
 
 
 class TestLosses:
@@ -224,6 +238,25 @@ class TestGradients:
                 loop = loop + u * (X.T @ (_sigmoid(X @ w) - y) / s)
             assert np.array_equal(global_gradient(prob, w), loop)
             assert np.array_equal(row, loop)
+
+    def test_logistic_global_gradient_is_the_padded_weighted_loop(self, tmp_path):
+        # Unequal counts: each user's terms come from its zero-padded stacked
+        # rows, bit for bit. Against the unpadded rows they agree to rounding
+        # only, as the BLAS products group the sums by their length.
+        prob = csv_problem(tmp_path, (12, 7, 9), Logistic(lam=0.2), seed=4)
+        assert prob.padding.any()
+        rng = np.random.default_rng(4)
+        W = rng.standard_normal((6, 3)) * 2.0
+        batch = local_stoch_grad(prob, [0] * 6, W, OracleSpec(kind="relative_noise", delta=0.0), substream(0, "grad"))
+        for w, row in zip(W, batch):
+            padded, unpadded = prob.lam * w, prob.lam * w
+            for u, X, y, s in zip(prob.user_weights, prob.inputs, prob.targets, prob.counts):
+                padded = padded + u * (X.T @ (_sigmoid(X @ w) - y) / s)
+                X, y = X[:s], y[:s]
+                unpadded = unpadded + u * (X.T @ (_sigmoid(X @ w) - y) / s)
+            assert np.array_equal(global_gradient(prob, w), padded)
+            assert np.array_equal(row, padded)
+            assert np.abs(padded - unpadded).max() <= 1e-14 * np.linalg.norm(unpadded)
 
     def test_heterogeneous_users_differ(self):
         prob = make_synthetic(p=4, M=2, S_per_user=6, seed=9, heterogeneity=1.0)
@@ -601,6 +634,61 @@ class TestMakeSynthetic:
             Logistic(lam=0.0)
         with pytest.raises(ValueError):
             Ridge(lam=-0.1)
+
+
+class TestUserSums:
+    """The weighted user sums of the Grams and moments, one reduction each, against Python's ``sum``."""
+
+    @staticmethod
+    def assert_python_sums(prob):
+        gram = sum(u * g for u, g in zip(prob.user_weights, prob.grams))
+        moment = sum(u * c for u, c in zip(prob.user_weights, prob.moments))
+        assert prob._gram_global.tobytes() == gram.tobytes()
+        assert prob._moment_global.tobytes() == moment.tobytes()
+
+    @pytest.mark.parametrize("h", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("M", [1, 7, 100])
+    @pytest.mark.parametrize("kind", [Ridge(lam=0.5), Logistic(lam=0.1)], ids=lambda k: type(k).__name__)
+    def test_synthetic(self, h, M, kind):
+        # p = 1 makes each user's terms one element, which numpy would sum
+        # pairwise over a reduced axis.
+        for p, S in ((1, 9), (4, 13), (20, 30)):
+            self.assert_python_sums(make_synthetic(p=p, M=M, S_per_user=S, seed=M, heterogeneity=h, loss_kind=kind))
+
+    @pytest.mark.parametrize("kind", [Ridge(lam=0.2), Logistic(lam=0.2)], ids=lambda k: type(k).__name__)
+    def test_unequal_counts(self, tmp_path, kind):
+        self.assert_python_sums(csv_problem(tmp_path, (12, 7), kind))
+
+    @pytest.mark.parametrize("rows", [(1, 9), (2, 1), (30, 1), (30, 2), (200, 3, 3), (9, 1, 1)])
+    def test_in_order_sum_is_cumsum(self, rows):
+        # Rows of one element take cumsum: a reduction would sum them pairwise.
+        a = np.random.default_rng(len(rows)).standard_normal(rows)
+        a *= np.logspace(-8, 8, rows[0]).reshape((-1,) + (1,) * (len(rows) - 1))
+        assert _in_order_sum(a).tobytes() == np.cumsum(a, axis=0)[-1].tobytes()
+
+
+class TestValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected_without_padding(self, bad):
+        prob = make_synthetic(p=3, M=4, S_per_user=5, seed=1)
+        for where in ((0, 0, 0), (3, 4, 2), (2, 1, 1)):
+            X = prob.inputs.copy()
+            X[where] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                Problem(X, prob.targets, prob.counts, Ridge(lam=0.2))
+            with pytest.raises(ValueError, match="non-finite"):
+                Dataset(inputs=X[where[0]], targets=prob.targets[where[0]])
+            y = prob.targets.copy()
+            y[where[:2]] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                Problem(prob.inputs, y, prob.counts, Ridge(lam=0.2))
+            with pytest.raises(ValueError, match="non-finite"):
+                Dataset(inputs=prob.inputs[where[0]], targets=y[where[0]])
+
+    def test_extreme_finite_values_accepted(self):
+        big = np.finfo(np.float64).max
+        data = Dataset(inputs=[[big, -big], [5e-324, 0.0]], targets=[-big, big])
+        assert data.n_samples == 2
 
 
 class TestCsvImport:

@@ -3,7 +3,7 @@ import zlib
 import numpy as np
 import pytest
 
-from byzfl.rng import substream, substreams
+from byzfl.rng import _key_prefix, _pools, substream, substreams
 
 # Master seeds of one to four 32-bit words; indices of one or two words, and
 # keys with no index or several.
@@ -37,6 +37,29 @@ def test_substreams_equal_the_single_keys(seed):
         want = spawn_key_generator(seed, "data-x", i)
         assert got.bit_generator.state == want.bit_generator.state
         assert np.array_equal(got.standard_normal((2, 3)), want.standard_normal((2, 3)))
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**64 + 5, 10**30])
+@pytest.mark.parametrize("n", [0, 1, 100])
+def test_vectorised_pools_equal_seed_sequence_pools(seed, n):
+    prefix = _key_prefix(seed, "data-x")
+    entropy = np.empty((n, len(prefix) + 1), dtype=np.uint32)
+    entropy[:, :-1] = prefix
+    entropy[:, -1] = np.arange(n)
+    pools = _pools(entropy)
+    assert pools.dtype == np.uint32 and pools.shape == (n, 4)
+    for row, pool in zip(entropy, pools):
+        assert pool.tolist() == np.random.SeedSequence(row).pool.tolist()
+
+
+@pytest.mark.parametrize("length", [4, 5, 9])
+def test_vectorised_pools_of_arbitrary_words(length):
+    # Rows that differ in every word, the pool-sized rows (no words after the
+    # first four) and the extreme words included.
+    entropy = np.random.default_rng(length).integers(0, 2**32, (30, length), dtype=np.uint32)
+    entropy[0], entropy[1] = 0, 2**32 - 1
+    for row, pool in zip(entropy, _pools(entropy)):
+        assert pool.tolist() == np.random.SeedSequence(row).pool.tolist()
 
 
 def test_substreams_of_none_is_empty():
